@@ -36,7 +36,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
     count_caterpillar_arrangements,
-    count_labeled_trees,
+    count_free_trees,
     enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
@@ -98,7 +98,7 @@ __all__ = [
     "component_counts",
     "count_all_containing",
     "count_caterpillar_arrangements",
-    "count_labeled_trees",
+    "count_free_trees",
     "count_subtrees",
     "count_subtrees_containing",
     "count_subtrees_containing_set",

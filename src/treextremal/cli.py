@@ -4,7 +4,8 @@ Subcommands: count, extremal, enumerate, verify. Output is a JSON document
 (CSV for enumerate tables on request) in which every subtree/Wiener count is
 a decimal string, since the values outgrow JSON numbers fast. Exit codes are
 a stable contract: 0 success or verified pass, 1 verification failure,
-2 invalid input, 3 budget exceeded.
+2 invalid input, 3 budget exceeded, 4 internal inconsistency (two routes
+to the same answer disagree: a bug, never a counterexample).
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .canonical import canonical_form
 from .counting import count_all_containing, count_subtrees, wiener_index
 from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
-from .errors import BudgetExceeded, ParseError, TooLarge, TreextremalError
+from .errors import BudgetExceeded, InternalInconsistency, ParseError, TooLarge, TreextremalError
 from .extremal import find_max_subtrees, find_min_subtrees
 from .trees import diameter, is_caterpillar, tree_from_edge_list
 from .verify import CLAIM_IDS, FAIL, run_claim
@@ -30,8 +31,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV = "TREEXTREMAL_BUDGET"
+BUDGET_HELP = (
+    "cap on candidates generated: free trees on n vertices for a full "
+    f"enumeration, arrangements for a caterpillar search (overrides {BUDGET_ENV})"
+)
 
 
 def _document(command: str, inputs: dict, results) -> dict:
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degseq", required=True, help="degree sequence, e.g. '8,3,3,3,2,1*11'")
     p.add_argument("--objective", choices=("min", "max"), default="min")
     p.add_argument("--method", choices=("auto", "brute", "caterpillar", "closed-form"), default="auto")
-    p.add_argument("--budget-labeled", type=int, default=None, help="labeled-count cap")
+    p.add_argument("--budget-labeled", type=int, default=None, help=BUDGET_HELP)
     common(p)
     p.set_defaults(func=cmd_extremal)
 
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degseq", required=True)
     p.add_argument("--caterpillars-only", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--budget-labeled", type=int, default=None)
+    p.add_argument("--budget-labeled", type=int, default=None, help=BUDGET_HELP)
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=CLAIM_IDS)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--budget-labeled", type=int, default=None)
+    p.add_argument("--budget-labeled", type=int, default=None, help=BUDGET_HELP)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -241,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (TreextremalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .caterpillars import Caterpillar
 from .errors import IndexOutOfRange, TooLarge, VertexOutOfRange
-from .trees import Tree, bfs_distances
+from .trees import Tree
 
 
 def _root_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
@@ -227,8 +227,15 @@ def _grow_from(adj_mask: list[int], v: int, above: int) -> int:
 
 
 def wiener_index(t: Tree) -> int:
-    """Sum of distances over unordered vertex pairs."""
+    """Sum of distances over unordered vertex pairs.
+
+    Each edge lies on the path of exactly the pairs it separates, so the sum
+    is, over edges, s (n - s) with s the vertex count on one side.
+    """
+    order, parent = _root_order(t, 0)
+    size = [1] * t.n
     total = 0
-    for v in range(t.n):
-        total += sum(bfs_distances(t, v))
-    return total // 2
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+        total += size[v] * (t.n - size[v])
+    return total

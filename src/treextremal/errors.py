@@ -48,8 +48,9 @@ class TooLarge(TreextremalError, ValueError):
 class BudgetExceeded(TreextremalError, RuntimeError):
     """Predicted enumeration cost exceeds the configured budget.
 
-    ``predicted`` carries the predicted labeled-tree (or permutation) count
-    so callers can report how far over budget the request was.
+    ``predicted`` carries the predicted candidate count (free trees on n
+    vertices, caterpillar arrangements, or the order n when it exceeds the
+    order cap) so callers can report how far over budget the request was.
     """
 
     def __init__(self, message: str, predicted: int):
@@ -67,3 +68,8 @@ class ClosedFormUnavailable(TreextremalError, ValueError):
 
 class NotApplicable(TreextremalError, ValueError):
     """Branch-shift preconditions do not hold for the given tree/vertices."""
+
+
+class InternalInconsistency(TreextremalError, RuntimeError):
+    """Two routes to the same answer disagree (a closed form and the search
+    it is cross-checked against); a bug in this package, not bad input."""

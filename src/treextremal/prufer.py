@@ -1,8 +1,10 @@
 """Pruefer codec: the bijection between labeled trees on n >= 2 vertices
 and words of length n - 2 over the labels.
 
-Vertex i appears in the word exactly deg(i) - 1 times, which is what makes
-the codec the enumeration backbone for degree-sequence searches.
+Vertex i appears in the word exactly deg(i) - 1 times. The searches do not
+use the codec (they generate free trees directly); it stays public as a
+source of uniformly random labeled trees and as an independent oracle for
+the free-tree generator.
 """
 
 import heapq

@@ -82,8 +82,8 @@ def test_codes_agree_with_brute_force_up_to_n8():
     for t in trees:
         by_n.setdefault(t.n, []).append(t)
     for n, group in by_n.items():
-        # enumerate_trees dedupes by code, so all same-n pairs must be
-        # non-isomorphic; re-check both directions against the referee.
+        # enumerate_trees yields each free tree once, so all same-n pairs
+        # must be non-isomorphic; re-check both directions against the referee.
         for t1, t2 in combinations(group, 2):
             same_code = canonical_form(t1) == canonical_form(t2)
             assert same_code == brute_force_isomorphic(t1, t2)

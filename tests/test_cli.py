@@ -109,9 +109,12 @@ def test_enumerate_csv(run):
 
 
 def test_enumerate_budget_exceeded(run):
-    code, _, err = run("enumerate", "--degseq", "2*14,1,1")
+    code, _, err = run("enumerate", "--degseq", "2*16,1,1")
     assert code == 3
-    assert "87178291200" in err  # predicted labeled count reported
+    assert "n=18 exceeds full-enumeration cap 16" in err
+    code, _, err = run("enumerate", "--degseq", "2,2,2,2,1,1", "--budget-labeled", "5")
+    assert code == 3
+    assert "predicted 6 free trees" in err  # free trees on 6 vertices
 
 
 def test_enumerate_budget_flag(run):
@@ -134,6 +137,20 @@ def test_budget_env_var(run, monkeypatch):
     monkeypatch.setenv("TREEXTREMAL_BUDGET", "1000000")
     code, out, _ = run("enumerate", "--degseq", "2,2,2,2,1,1")
     assert code == 0
+
+
+def test_internal_inconsistency_exit_code(run, monkeypatch):
+    from treextremal import extremal
+
+    real = extremal.closed_form_phi
+    monkeypatch.setattr(
+        extremal, "closed_form_phi", lambda ds: (real(ds)[0] + 1, real(ds)[1])
+    )
+    code, out, err = run("extremal", "--degseq", "3,2,2,1,1,1", "--objective", "min")
+    assert code == 4
+    assert out == ""
+    assert "closed form disagrees" in err
+    assert "Traceback" not in err
 
 
 def test_verify_pass_and_exit_codes(run):

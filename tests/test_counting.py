@@ -6,6 +6,7 @@ independent oracle) and then frozen; the golden closed-form values (17, 24,
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from treextremal.counting import _down_counts
 from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import IndexOutOfRange, TooLarge, VertexOutOfRange
 from treextremal.prufer import prufer_decode
-from treextremal.trees import Tree, path_tree, star_tree
+from treextremal.trees import Tree, bfs_distances, path_tree, star_tree
 
 FORK = caterpillar_build((1, 0))  # spine 0-1-2-3, pendant 4 at vertex 1
 SPIDER = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -207,6 +208,24 @@ def test_wiener_reference_values():
     assert wiener_index(star_tree(5)) == 16
     assert wiener_index(path_tree(5)) == 20
     assert wiener_index(Tree(1, [])) == 0
+
+
+def _all_pairs_wiener(t):
+    total = 0
+    for v in range(t.n):
+        total += sum(bfs_distances(t, v))
+    return total // 2
+
+
+def test_wiener_matches_all_pairs_bfs():
+    for t in all_trees_up_to(9):
+        assert wiener_index(t) == _all_pairs_wiener(t)
+    rng = random.Random(300)
+    for _ in range(4):
+        t = prufer_decode([rng.randrange(300) for _ in range(298)], 300)
+        assert wiener_index(t) == _all_pairs_wiener(t)
+    for t in (path_tree(300), star_tree(300)):
+        assert wiener_index(t) == _all_pairs_wiener(t)
 
 
 def test_path_min_star_max_small():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from treextremal.canonical import canonical_form
@@ -5,17 +7,21 @@ from treextremal.degrees import DegreeSequence, parse_degree_sequence
 from treextremal.enumeration import (
     EnumerationBudget,
     count_caterpillar_arrangements,
-    count_labeled_trees,
+    count_free_trees,
     enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
+    free_level_sequences,
     lexicographic_multiset_permutations,
 )
 from treextremal.errors import BudgetExceeded, NoInternalVertices
+from treextremal.prufer import prufer_decode
 from treextremal.trees import is_caterpillar
 
-# Unlabeled trees of order 1..10 (classic sequence).
-UNLABELED_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+# Unlabeled trees of order 1..16 (OEIS A000055).
+UNLABELED_COUNTS = [
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
+]
 
 
 def test_degree_sequence_universes():
@@ -41,11 +47,38 @@ def test_degree_sequence_counts_are_partition_numbers():
 
 
 def test_unlabeled_totals_match_known_counts():
-    for n in range(1, 11):
-        total = 0
+    for n in range(1, 17):
+        assert count_free_trees(n) == UNLABELED_COUNTS[n - 1]
+        if n >= 2:
+            generated = sum(1 for _ in free_level_sequences(n))
+            assert generated == UNLABELED_COUNTS[n - 1]
+        # Every tree has one degree sequence, so the realizations of all
+        # sequences partition the free trees (checked where that is quick).
+        if n <= 12:
+            total = 0
+            for ds in enumerate_degree_sequences(n):
+                total += sum(1 for _ in enumerate_trees(ds))
+            assert total == UNLABELED_COUNTS[n - 1]
+
+
+def _pruefer_codes(ds):
+    """Oracle: the canonical codes of all labeled trees in which vertex i
+    has degree d_i, decoded from every Pruefer word for ds."""
+    word = []
+    for i, d in enumerate(ds.degrees):
+        word.extend([i] * (d - 1))
+    return {
+        canonical_form(prufer_decode(list(seq), ds.n))
+        for seq in lexicographic_multiset_permutations(word)
+    }
+
+
+def test_generator_matches_pruefer_oracle():
+    for n in range(3, 11):
         for ds in enumerate_degree_sequences(n):
-            total += sum(1 for _ in enumerate_trees(ds))
-        assert total == UNLABELED_COUNTS[n - 1]
+            codes = [canonical_form(t) for t in enumerate_trees(ds)]
+            assert len(codes) == len(set(codes))
+            assert set(codes) == _pruefer_codes(ds)
 
 
 def test_enumerated_trees_have_right_degrees_and_unique_codes():
@@ -75,32 +108,35 @@ def test_enumeration_is_deterministic():
 
 
 def test_budget_refusal():
-    ds = parse_degree_sequence("2*14,1,1")  # huge labeled count, n = 16
     with pytest.raises(BudgetExceeded) as err:
-        list(enumerate_trees(ds))
-    assert err.value.predicted == count_labeled_trees(ds)
-    with pytest.raises(BudgetExceeded):
         list(enumerate_trees(parse_degree_sequence("2*20,1,1")))  # n over cap
-    tiny = EnumerationBudget(max_labeled=3, max_n=16)
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_trees(DegreeSequence((2, 2, 2, 1, 1)), tiny))
+    assert err.value.predicted == 22
+    tiny = EnumerationBudget(max_labeled=5, max_n=16)
+    with pytest.raises(BudgetExceeded) as err:
+        list(enumerate_trees(DegreeSequence((2, 2, 2, 2, 1, 1)), tiny))
+    assert err.value.predicted == count_free_trees(6) == 6
+    # The 16-vertex path has 14! labeled words but only 19320 free trees
+    # are generated for it, well inside the default budget.
+    assert len(list(enumerate_trees(parse_degree_sequence("2*14,1,1")))) == 1
 
 
-def test_labeled_counts():
-    assert count_labeled_trees(DegreeSequence((2, 2, 1, 1))) == 2
-    assert count_labeled_trees(DegreeSequence((3, 1, 1, 1))) == 1
-    assert count_labeled_trees(DegreeSequence((2, 2, 2, 1, 1))) == 6
-    assert count_labeled_trees(DegreeSequence((1, 1))) == 1
+def test_free_tree_counts():
+    # UNLABELED_COUNTS covers n <= 16; Otter's formula has no table limit.
+    assert count_free_trees(20) == 823065
+    with pytest.raises(ValueError):
+        count_free_trees(0)
 
 
 def test_labeled_count_equals_word_count():
     for n in range(3, 9):
         for ds in enumerate_degree_sequences(n):
             word = []
+            labeled = math.factorial(n - 2)
             for i, d in enumerate(ds.degrees):
                 word.extend([i] * (d - 1))
+                labeled //= math.factorial(d - 1)
             generated = sum(1 for _ in lexicographic_multiset_permutations(word))
-            assert generated == count_labeled_trees(ds)
+            assert generated == labeled
 
 
 def test_caterpillar_enumeration():
