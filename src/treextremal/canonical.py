@@ -8,7 +8,7 @@ codes iff they are isomorphic, so the code doubles as a dedupe key and as a
 deterministic sort key.
 """
 
-from .trees import Tree
+from .trees import Tree, bfs
 
 
 def centers(t: Tree) -> list[int]:
@@ -33,21 +33,9 @@ def centers(t: Tree) -> list[int]:
 
 def rooted_code(t: Tree, root: int) -> str:
     """Canonical parenthesis string of t rooted at root."""
-    t.check_vertex(root)
-    # Iterative post-order; children codes are sorted before wrapping.
-    parent = [-1] * t.n
-    order = []
-    stack = [root]
-    seen = [False] * t.n
-    seen[root] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in t.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
+    # Children come after their parent in BFS order, so the reversed order
+    # codes every child before its parent; sorting makes the order moot.
+    order, parent, _ = bfs(t, root)
     code: list[str] = [""] * t.n
     kids: list[list[str]] = [[] for _ in range(t.n)]
     for v in reversed(order):

@@ -147,7 +147,7 @@ def cmd_enumerate(args) -> int:
     budget = _budget(args)
     rows = []
     if args.caterpillars_only:
-        for cat in enumerate_caterpillars(ds):
+        for cat in enumerate_caterpillars(ds, budget):
             t = cat.build()
             rows.append(
                 {

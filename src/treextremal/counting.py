@@ -16,25 +16,7 @@ from typing import Sequence
 
 from .caterpillars import Caterpillar
 from .errors import IndexOutOfRange, TooLarge, VertexOutOfRange
-from .trees import Tree
-
-
-def _root_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
-    """BFS vertex order (parents before children) and parent array."""
-    parent = [-1] * t.n
-    seen = [False] * t.n
-    seen[root] = True
-    order = [root]
-    idx = 0
-    while idx < len(order):
-        v = order[idx]
-        idx += 1
-        for w in t.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                order.append(w)
-    return order, parent
+from .trees import Tree, bfs
 
 
 def _down_counts(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
@@ -43,7 +25,7 @@ def _down_counts(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     down[v] = prod over children c of (1 + down[c]). Returns (down, order,
     parent) so callers can reuse the traversal.
     """
-    order, parent = _root_order(t, root)
+    order, parent, _ = bfs(t, root)
     down = [1] * t.n
     for v in reversed(order):
         prod = 1
@@ -70,7 +52,6 @@ def count_subtrees_containing(t: Tree, v: int) -> int:
     Rooting at v, this is the product over neighbors u of (1 + the count of
     subtrees containing u inside u's component of t - v).
     """
-    t.check_vertex(v)
     down, _, _ = _down_counts(t, v)
     return down[v]
 
@@ -232,7 +213,7 @@ def wiener_index(t: Tree) -> int:
     Each edge lies on the path of exactly the pairs it separates, so the sum
     is, over edges, s (n - s) with s the vertex count on one side.
     """
-    order, parent = _root_order(t, 0)
+    order, parent, _ = bfs(t, 0)
     size = [1] * t.n
     total = 0
     for v in reversed(order[1:]):

@@ -7,8 +7,10 @@ sequence: the depths of the vertices in preorder from a root at a central
 vertex, with the root's subtrees in nonincreasing order. A realization of a degree
 sequence is a generated tree whose sorted degrees match, so no
 deduplication is needed and only matching trees are ever built. The
-generation cost, the number of free trees on n vertices, is checked against
-a budget before any work starts: refusing is an error, never a truncation,
+generation cost, the number of free trees on n vertices or of caterpillar
+arrangements, is checked against a budget before any work starts (this
+module is the only one that knows the budget policy): refusing is an
+error, never a truncation,
 because a partial enumeration would silently break the theorem sweeps built
 on top.
 """
@@ -191,15 +193,23 @@ def enumerate_trees(
             yield Tree(n, [(parent[i], i) for i in range(1, n)])
 
 
-def enumerate_caterpillars(ds: DegreeSequence) -> Iterator[Caterpillar]:
+def enumerate_caterpillars(
+    ds: DegreeSequence, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> Iterator[Caterpillar]:
     """All caterpillars realizing ds, one per isomorphism class.
 
     These are the distinct multiset permutations of (d_1 - 2, ..., d_k - 2)
     modulo reversal; each class is yielded in its canonical orientation, in
-    first-seen order under lexicographic permutations.
+    first-seen order under lexicographic permutations. The permutation
+    count is checked against budget.max_labeled before the first one.
     """
-    if ds.k == 0:
-        raise NoInternalVertices(f"no internal vertices in {ds}")
+    arrangements = count_caterpillar_arrangements(ds)
+    if arrangements > budget.max_labeled:
+        raise BudgetExceeded(
+            f"predicted {arrangements} caterpillar arrangements exceeds "
+            f"budget {budget.max_labeled}",
+            arrangements,
+        )
     pendants = [d - 2 for d in ds.internal]
     seen: set[tuple[int, ...]] = set()
     for perm in lexicographic_multiset_permutations(pendants):

@@ -31,10 +31,9 @@ from .caterpillars import (
     caterpillar_canonical,
     caterpillar_from_tree,
 )
-from .counting import count_subtrees
+from .counting import _down_counts, count_subtrees
 from .degrees import DegreeSequence
 from .errors import (
-    BudgetExceeded,
     ClosedFormUnavailable,
     IndexOutOfRange,
     InternalInconsistency,
@@ -44,12 +43,11 @@ from .errors import (
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    count_caterpillar_arrangements,
     count_free_trees,
     enumerate_caterpillars,
     enumerate_trees,
 )
-from .trees import Tree, bfs_distances, bfs_parents, diameter, is_caterpillar, path_tree
+from .trees import Tree, bfs, diameter, is_caterpillar, path_tree
 
 MIN_SUBTREES = "min-subtrees"
 MAX_SUBTREES = "max-subtrees"
@@ -166,44 +164,23 @@ def predict_min_k5(ds: DegreeSequence) -> tuple[TrichotomyCase, set[tuple[int, .
     )
 
 
-def _unique_realization(ds: DegreeSequence) -> Tree:
-    """The single tree for k = 0 (one or two vertices)."""
-    return Tree(1, []) if ds.n == 1 else path_tree(2)
+def extremes(items, score, maximize=False):
+    """Exhaustive argmin (argmax when maximize) with ties.
 
-
-def _search_trees(ds, budget, maximize):
+    Returns (optimum, winners, examined): the best score (None when items is
+    empty), every item attaining it in input order, and the number of items
+    scored.
+    """
     best = None
-    winners: list[Tree] = []
+    winners = []
     examined = 0
-    for t in enumerate_trees(ds, budget):
+    for item in items:
         examined += 1
-        value = count_subtrees(t)
+        value = score(item)
         if best is None or (value > best if maximize else value < best):
-            best, winners = value, [t]
+            best, winners = value, [item]
         elif value == best:
-            winners.append(t)
-    return best, winners, examined
-
-
-def _search_caterpillars(ds, budget, maximize):
-    arrangements = count_caterpillar_arrangements(ds)
-    if arrangements > budget.max_labeled:
-        raise BudgetExceeded(
-            f"predicted {arrangements} caterpillar arrangements exceeds "
-            f"budget {budget.max_labeled}",
-            arrangements,
-        )
-    best = None
-    winners: list[Tree] = []
-    examined = 0
-    for cat in enumerate_caterpillars(ds):
-        examined += 1
-        t = cat.build()
-        value = count_subtrees(t)
-        if best is None or (value > best if maximize else value < best):
-            best, winners = value, [t]
-        elif value == best:
-            winners.append(t)
+            winners.append(item)
     return best, winners, examined
 
 
@@ -214,28 +191,64 @@ def _report(ds, objective, optimum, winner_trees, method, examined) -> ExtremalR
     return ExtremalReport(ds, objective, optimum, optimizers, method, examined)
 
 
-def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[Tree], int]:
-    """Optimum and minimizer trees for k <= 5 via the closed forms."""
+def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[tuple[int, ...]]]:
+    """Optimum and canonical minimizer pendant vectors for 1 <= k <= 5."""
     k = ds.k
-    if k == 0:
-        t = _unique_realization(ds)
-        return count_subtrees(t), [t], 1
     if k == 1:
-        value = 2 ** (ds.n - 1) + ds.n - 1
-        return value, [caterpillar_build((ds.degrees[0] - 2,))], 1
+        return 2 ** (ds.n - 1) + ds.n - 1, [(ds.degrees[0] - 2,)]
     if k in (2, 3, 4):
         value, stated = closed_form_phi(ds)
-        return value, [caterpillar_build(caterpillar_canonical(stated))], 1
+        return value, [caterpillar_canonical(stated)]
     if k == 5:
         _, vectors = predict_min_k5(ds)
-        trees = [caterpillar_build(v) for v in sorted(vectors)]
-        values = {count_subtrees(t) for t in trees}
+        ys = sorted(vectors)
+        values = {count_subtrees(caterpillar_build(y)) for y in ys}
         if len(values) != 1:
             raise InternalInconsistency(
                 f"tied minimizer candidates disagree for {ds}: {sorted(values)}"
             )
-        return values.pop(), trees, len(trees)
+        return values.pop(), ys
     raise ClosedFormUnavailable(f"no closed form for k={k} > 5")
+
+
+def _search(ds, objective, method, budget) -> ExtremalReport:
+    """The search behind find_min_subtrees and find_max_subtrees."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    maximize = objective == MAX_SUBTREES
+    if maximize and method == "closed-form":
+        raise ClosedFormUnavailable("no closed forms exist for maximization")
+    if ds.k == 0:  # the single tree on one or two vertices
+        t = Tree(1, []) if ds.n == 1 else path_tree(2)
+        method = "closed-form" if method == "auto" else method
+        return _report(ds, objective, count_subtrees(t), [t], method, 1)
+    if method == "closed-form":
+        value, ys = _closed_form_minimizers(ds)
+        trees = [caterpillar_build(y) for y in ys]
+        return _report(ds, objective, value, trees, method, len(ys))
+    if method == "auto":
+        if maximize:
+            fits = ds.n <= budget.max_n and count_free_trees(ds.n) <= budget.max_labeled
+            method = "brute" if fits else "caterpillar"
+        elif ds.k <= 5:
+            value, ys = _closed_form_minimizers(ds)
+            search = _search(ds, objective, "caterpillar", budget)
+            if search.optimum != value or search.optimizer_y_set() != set(ys):
+                raise InternalInconsistency(
+                    f"closed form disagrees with caterpillar search for {ds}: "
+                    f"formula {value}, search {search.optimum}"
+                )
+            return ExtremalReport(
+                ds, objective, value, search.optimizers, "closed-form", search.trees_examined
+            )
+        else:
+            method = "caterpillar"
+    if method == "brute":
+        candidates = enumerate_trees(ds, budget)
+    else:
+        candidates = (cat.build() for cat in enumerate_caterpillars(ds, budget))
+    best, winners, examined = extremes(candidates, count_subtrees, maximize)
+    return _report(ds, objective, best, winners, method, examined)
 
 
 def find_min_subtrees(
@@ -252,34 +265,7 @@ def find_min_subtrees(
     against the caterpillar search, at most 5! = 120 arrangements) and the
     caterpillar search otherwise.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if ds.k == 0:
-        t = _unique_realization(ds)
-        return _report(ds, MIN_SUBTREES, count_subtrees(t), [t], _degenerate_method(method), 1)
-
-    if method == "brute":
-        best, winners, examined = _search_trees(ds, budget, maximize=False)
-        return _report(ds, MIN_SUBTREES, best, winners, "brute", examined)
-    if method == "caterpillar":
-        best, winners, examined = _search_caterpillars(ds, budget, maximize=False)
-        return _report(ds, MIN_SUBTREES, best, winners, "caterpillar", examined)
-    if method == "closed-form":
-        value, trees, examined = _closed_form_minimizers(ds)
-        return _report(ds, MIN_SUBTREES, value, trees, "closed-form", examined)
-
-    # auto
-    if ds.k <= 5:
-        value, trees, _ = _closed_form_minimizers(ds)
-        best, winners, examined = _search_caterpillars(ds, budget, maximize=False)
-        if best != value or _code_set(winners) != _code_set(trees):
-            raise InternalInconsistency(
-                f"closed form disagrees with caterpillar search for {ds}: "
-                f"formula {value}, search {best}"
-            )
-        return _report(ds, MIN_SUBTREES, value, trees, "closed-form", examined)
-    best, winners, examined = _search_caterpillars(ds, budget, maximize=False)
-    return _report(ds, MIN_SUBTREES, best, winners, "caterpillar", examined)
+    return _search(ds, MIN_SUBTREES, method, budget)
 
 
 def find_max_subtrees(
@@ -294,35 +280,7 @@ def find_max_subtrees(
     n vertices within max_labeled) and otherwise falls back to the
     caterpillar-only search, recording that restriction in ``method``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed-form":
-        raise ClosedFormUnavailable("no closed forms exist for maximization")
-    if ds.k == 0:
-        t = _unique_realization(ds)
-        return _report(ds, MAX_SUBTREES, count_subtrees(t), [t], _degenerate_method(method), 1)
-
-    if method == "brute":
-        best, winners, examined = _search_trees(ds, budget, maximize=True)
-        return _report(ds, MAX_SUBTREES, best, winners, "brute", examined)
-    if method == "caterpillar":
-        best, winners, examined = _search_caterpillars(ds, budget, maximize=True)
-        return _report(ds, MAX_SUBTREES, best, winners, "caterpillar", examined)
-
-    # auto
-    if ds.n <= budget.max_n and count_free_trees(ds.n) <= budget.max_labeled:
-        best, winners, examined = _search_trees(ds, budget, maximize=True)
-        return _report(ds, MAX_SUBTREES, best, winners, "brute", examined)
-    best, winners, examined = _search_caterpillars(ds, budget, maximize=True)
-    return _report(ds, MAX_SUBTREES, best, winners, "caterpillar", examined)
-
-
-def _degenerate_method(method: str) -> str:
-    return "closed-form" if method in ("auto", "closed-form") else method
-
-
-def _code_set(trees: list[Tree]) -> set[str]:
-    return {canonical_form(t) for t in trees}
+    return _search(ds, MAX_SUBTREES, method, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +315,10 @@ def branch_shift_context(t: Tree, y: int, v_r: int) -> BranchShiftContext:
         raise NotApplicable(f"vertex {y} has no children to move")
     if len(t.adjacency[v_r]) != 1:
         raise NotApplicable(f"vertex {v_r} is not a leaf")
-    dist = bfs_distances(t, v_r)
+    _, parent, dist = bfs(t, v_r)
     diam = diameter(t)
     if max(dist) != diam:
         raise NotApplicable(f"vertex {v_r} is not the endpoint of a longest path")
-    parent = bfs_parents(t, v_r)
     v_l = parent[y]
     if not (2 <= dist[v_l] <= diam - 2):
         raise NotApplicable(
@@ -396,33 +353,6 @@ def shift_branch_to_end(t: Tree, y: int, v_r: int) -> Tree:
     return Tree(t.n, edges)
 
 
-def _f_blocked(t: Tree, v: int, blocked: frozenset[tuple[int, int]]) -> int:
-    """Subtrees containing v inside v's component of t minus blocked edges."""
-
-    def open_neighbors(x: int, avoid: int) -> list[int]:
-        out = []
-        for w in t.adjacency[x]:
-            if w != avoid and tuple(sorted((x, w))) not in blocked:
-                out.append(w)
-        return out
-
-    # Iterative product recursion rooted at v, restricted to the component.
-    order = [(v, -1)]
-    idx = 0
-    while idx < len(order):
-        x, par = order[idx]
-        idx += 1
-        for w in open_neighbors(x, par):
-            order.append((w, x))
-    value = {}
-    for x, par in reversed(order):
-        prod = 1
-        for w in open_neighbors(x, par):
-            prod *= 1 + value[w]
-        value[x] = prod
-    return value[v]
-
-
 def branch_shift_inequality(t: Tree, ctx: BranchShiftContext) -> tuple[int, int, int]:
     """The exact quantities gating the strict decrease.
 
@@ -442,20 +372,16 @@ def branch_shift_inequality(t: Tree, ctx: BranchShiftContext) -> tuple[int, int,
     """
     path = ctx.path
     l, r = ctx.l, len(path) - 1
-    e = lambda a, b: tuple(sorted((a, b)))
-    a = {r: 1}
-    for i in range(l + 1, r):
-        a[i] = _f_blocked(
-            t, path[i], frozenset({e(path[i - 1], path[i]), e(path[i], path[i + 1])})
-        )
-    b_l = _f_blocked(
-        t, path[l], frozenset({e(path[l], path[l + 1]), e(path[l], ctx.y)})
-    )
+    # Rooted at v_r, path[i + 1] is the parent of path[i] and v_l the parent
+    # of y, so each quantity is a down count with one child factor
+    # (1 + down[c]) divided out; the division is exact.
+    down = _down_counts(t, ctx.v_r)[0]
+    a = {i: down[path[i]] // (1 + down[path[i - 1]]) for i in range(l + 1, r + 1)}
     series = 1  # 1 + a_{l+2} (1 + a_{l+3} (... (1 + a_r))), built right to left
     for j in range(r, l + 1, -1):
         series = 1 + a[j] * series
-    branch = _f_blocked(t, ctx.y, frozenset({e(ctx.y, path[l])}))
-    return b_l, a[l + 1] * series, branch
+    weight = down[path[l]] // (1 + down[ctx.y])
+    return weight, a[l + 1] * series, down[ctx.y]
 
 
 # ---------------------------------------------------------------------------

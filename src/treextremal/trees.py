@@ -6,7 +6,6 @@ loops or duplicates, connectivity); after that a Tree is immutable and safe
 to share between threads.
 """
 
-from collections import deque
 from typing import Iterable
 
 from .errors import InvalidTree, ParseError, VertexOutOfRange
@@ -93,43 +92,34 @@ def star_tree(n: int) -> Tree:
     return Tree(n, [(0, i) for i in range(1, n)])
 
 
-def bfs_distances(t: Tree, src: int) -> list[int]:
-    """Distance from src to every vertex."""
-    t.check_vertex(src)
+def bfs(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first traversal from root.
+
+    Returns (order, parent, dist): the vertices in visit order (parents
+    before children, distances nondecreasing), each vertex's parent (-1 at
+    the root) and its distance from the root.
+    """
+    t.check_vertex(root)
+    parent = [-1] * t.n
     dist = [-1] * t.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
-def bfs_parents(t: Tree, src: int) -> list[int]:
-    """Parent of every vertex in the BFS tree rooted at src (src maps to -1)."""
-    t.check_vertex(src)
-    parent = [-2] * t.n
-    parent[src] = -1
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if parent[y] == -2:
-                parent[y] = x
-                queue.append(y)
-    return parent
+    dist[root] = 0
+    order = [root]
+    adjacency = t.adjacency
+    for v in order:  # the loop also visits the vertices appended below
+        d = dist[v] + 1
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                parent[w] = v
+                order.append(w)
+    return order, parent, dist
 
 
 def diameter(t: Tree) -> int:
-    """Length of a longest path, via the double-sweep trick."""
-    if t.n == 1:
-        return 0
-    d0 = bfs_distances(t, 0)
-    far = max(range(t.n), key=lambda v: d0[v])
-    return max(bfs_distances(t, far))
+    """Length of a longest path, via the double-sweep trick: the last vertex
+    a BFS visits is farthest from its root, and is an end of a longest path."""
+    far = bfs(t, 0)[0][-1]
+    return max(bfs(t, far)[2])
 
 
 def is_caterpillar(t: Tree) -> bool:
@@ -175,10 +165,9 @@ def tree_to_edge_list(t: Tree) -> str:
 
 def path_between(t: Tree, src: int, dst: int) -> list[int]:
     """The unique src..dst path as a vertex list (inclusive)."""
-    parent = bfs_parents(t, src)
-    t.check_vertex(dst)
-    path = [dst]
-    while path[-1] != src:
+    t.check_vertex(src)
+    parent = bfs(t, dst)[1]
+    path = [src]
+    while path[-1] != dst:
         path.append(parent[path[-1]])
-    path.reverse()
     return path

@@ -21,6 +21,7 @@ Claim identifiers (the CLI contract):
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .canonical import canonical_form
 from .caterpillars import Caterpillar, caterpillar_canonical
@@ -37,11 +38,12 @@ from .extremal import (
     branch_shift_context,
     branch_shift_inequality,
     closed_form_phi,
+    extremes,
     predict_min_k5,
     shift_branch_to_end,
 )
 from .errors import NotApplicable
-from .trees import Tree, is_caterpillar
+from .trees import is_caterpillar
 
 PASS = "pass"
 FAIL = "fail"
@@ -68,28 +70,16 @@ class VerificationReport:
     findings: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:
-        """JSON-safe form; every count is a decimal string."""
+        """JSON-safe form, with failures and findings as recorded (every
+        subtree or Wiener count in them is recorded as a decimal string)."""
         return {
             "claim": self.claim,
             "universe": dict(self.universe),
             "instances_checked": self.instances_checked,
             "status": self.status,
-            "failures": [_stringify(f) for f in self.failures],
-            "findings": _stringify(self.findings),
+            "failures": list(self.failures),
+            "findings": dict(self.findings),
         }
-
-
-def _stringify(obj):
-    """Big counts become decimal strings; small structural ints stay ints."""
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > 2**31 else obj
-    return obj
 
 
 def _finish(claim, universe, instances, failures, findings=None, report_only=False):
@@ -109,27 +99,11 @@ def _sequences(max_n: int, min_k: int = 0, max_k: int | None = None):
             yield ds
 
 
-def _min_trees(ds: DegreeSequence, budget) -> tuple[int, list[Tree]]:
-    best = None
-    winners = []
-    for t in enumerate_trees(ds, budget):
-        value = count_subtrees(t)
-        if best is None or value < best:
-            best, winners = value, [t]
-        elif value == best:
-            winners.append(t)
-    return best, winners
-
-
-def _extreme_caterpillars(ds: DegreeSequence, maximize: bool):
-    best = None
-    winners: list[Caterpillar] = []
-    for cat in enumerate_caterpillars(ds):
-        value = count_subtrees(cat.build())
-        if best is None or (value > best if maximize else value < best):
-            best, winners = value, [cat]
-        elif value == best:
-            winners.append(cat)
+def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
+    """Optimum and every optimal caterpillar over all arrangements of ds."""
+    best, winners, _ = extremes(
+        enumerate_caterpillars(ds, budget), lambda cat: count_subtrees(cat.build()), maximize
+    )
     return best, winners
 
 
@@ -141,7 +115,7 @@ def verify_caterpillar_minimality(
     instances = 0
     for ds in _sequences(max_n):
         instances += 1
-        _, winners = _min_trees(ds, budget)
+        _, winners, _ = extremes(enumerate_trees(ds, budget), count_subtrees)
         bad = [t for t in winners if not is_caterpillar(t)]
         if bad:
             failures.append(
@@ -196,7 +170,9 @@ def _orientations(cat: Caterpillar) -> list[tuple[int, ...]]:
     return [y]
 
 
-def verify_valley_shape(max_n: int, max_k: int = 6) -> VerificationReport:
+def verify_valley_shape(
+    max_n: int, max_k: int = 6, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> VerificationReport:
     """Minimizing caterpillars decrease to the minimum pendant count, then
     never decrease again; when d_2 > d_k the far end stays above the floor."""
     failures = []
@@ -204,7 +180,7 @@ def verify_valley_shape(max_n: int, max_k: int = 6) -> VerificationReport:
     for ds in _sequences(max_n, min_k=3, max_k=max_k):
         instances += 1
         floor = ds.degrees[ds.k - 1] - 2
-        _, winners = _extreme_caterpillars(ds, maximize=False)
+        _, winners = _caterpillar_extremes(ds, budget, maximize=False)
         for cat in winners:
             for z in _orientations(cat):
                 if not _valley_ok(z, floor):
@@ -228,13 +204,15 @@ def verify_valley_shape(max_n: int, max_k: int = 6) -> VerificationReport:
     return _finish("thm-3.5", {"max_n": max_n, "max_k": max_k, "min_k": 3}, instances, failures)
 
 
-def verify_mountain_shape(max_n: int, max_k: int = 6) -> VerificationReport:
+def verify_mountain_shape(
+    max_n: int, max_k: int = 6, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> VerificationReport:
     """Maximizing caterpillars rise to a peak, then never increase again."""
     failures = []
     instances = 0
     for ds in _sequences(max_n, min_k=3, max_k=max_k):
         instances += 1
-        _, winners = _extreme_caterpillars(ds, maximize=True)
+        _, winners = _caterpillar_extremes(ds, budget, maximize=True)
         for cat in winners:
             for z in _orientations(cat):
                 if not _mountain_ok(z):
@@ -251,7 +229,9 @@ def verify_mountain_shape(max_n: int, max_k: int = 6) -> VerificationReport:
     )
 
 
-def verify_closed_forms(max_n: int) -> VerificationReport:
+def verify_closed_forms(
+    max_n: int, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> VerificationReport:
     """For k in {2, 3, 4} the closed form must equal the exhaustive
     caterpillar minimum and the minimizer must be the stated tree, uniquely."""
     failures = []
@@ -259,7 +239,7 @@ def verify_closed_forms(max_n: int) -> VerificationReport:
     for ds in _sequences(max_n, min_k=2, max_k=4):
         instances += 1
         value, stated = closed_form_phi(ds)
-        best, winners = _extreme_caterpillars(ds, maximize=False)
+        best, winners = _caterpillar_extremes(ds, budget, maximize=False)
         observed = sorted(cat.y for cat in winners)
         expected = [caterpillar_canonical(stated)]
         if value != best or observed != expected:
@@ -274,7 +254,9 @@ def verify_closed_forms(max_n: int) -> VerificationReport:
     return _finish("thm-4.1", {"max_n": max_n, "k_range": [2, 4]}, instances, failures)
 
 
-def verify_trichotomy(max_n: int) -> VerificationReport:
+def verify_trichotomy(
+    max_n: int, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> VerificationReport:
     """For k = 5 the predicted minimizer set must equal exhaustive search.
 
     Also scans for sequences with d4 != d5 where the two candidate
@@ -287,7 +269,7 @@ def verify_trichotomy(max_n: int) -> VerificationReport:
     for ds in _sequences(max_n, min_k=5, max_k=5):
         instances += 1
         case, predicted = predict_min_k5(ds)
-        _, winners = _extreme_caterpillars(ds, maximize=False)
+        _, winners = _caterpillar_extremes(ds, budget, maximize=False)
         observed = {cat.y for cat in winners}
         if observed != predicted:
             failures.append(
@@ -358,6 +340,11 @@ def verify_transformation_monotonicity(
     )
 
 
+def _optimal_codes(scored, column, maximize):
+    """Codes of the (code, phi, wiener) rows that optimize one column."""
+    return {row[0] for row in extremes(scored, itemgetter(column), maximize)[1]}
+
+
 def explore_wiener_correspondence(
     max_n: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> VerificationReport:
@@ -372,14 +359,12 @@ def explore_wiener_correspondence(
     instances = 0
     for ds in _sequences(max_n):
         instances += 1
-        trees = list(enumerate_trees(ds, budget))
-        by_code = {canonical_form(t): t for t in trees}
-        phi = {code: count_subtrees(t) for code, t in by_code.items()}
-        wie = {code: wiener_index(t) for code, t in by_code.items()}
-        phi_max = {c for c, v in phi.items() if v == max(phi.values())}
-        phi_min = {c for c, v in phi.items() if v == min(phi.values())}
-        wie_min = {c for c, v in wie.items() if v == min(wie.values())}
-        wie_max = {c for c, v in wie.items() if v == max(wie.values())}
+        scored = [
+            (canonical_form(t), count_subtrees(t), wiener_index(t))
+            for t in enumerate_trees(ds, budget)
+        ]
+        phi_max, phi_min = _optimal_codes(scored, 1, True), _optimal_codes(scored, 1, False)
+        wie_min, wie_max = _optimal_codes(scored, 2, False), _optimal_codes(scored, 2, True)
         max_matches = phi_max == wie_min
         min_matches = phi_min == wie_max
         agree_max += max_matches
@@ -397,7 +382,7 @@ def explore_wiener_correspondence(
         rows.append(
             {
                 "degree_sequence": list(ds.degrees),
-                "realizations": len(trees),
+                "realizations": len(scored),
                 "max_side_agrees": max_matches,
                 "min_side_agrees": min_matches,
             }
@@ -424,13 +409,13 @@ def run_claim(claim: str, max_n: int | None = None, max_k: int | None = None,
     if claim == "thm-2.1":
         return verify_caterpillar_minimality(max_n or 9, budget)
     if claim == "thm-3.5":
-        return verify_valley_shape(max_n or 13, max_k or 6)
+        return verify_valley_shape(max_n or 13, max_k or 6, budget)
     if claim == "thm-3.6-shape":
-        return verify_mountain_shape(max_n or 13, max_k or 6)
+        return verify_mountain_shape(max_n or 13, max_k or 6, budget)
     if claim == "thm-4.1":
-        return verify_closed_forms(max_n or 12)
+        return verify_closed_forms(max_n or 12, budget)
     if claim == "thm-4.2":
-        return verify_trichotomy(max_n or 13)
+        return verify_trichotomy(max_n or 13, budget)
     if claim == "eq-2.1-monotonic":
         return verify_transformation_monotonicity(max_n or 9, budget)
     if claim == "wiener-correspondence":

@@ -139,6 +139,31 @@ def test_budget_env_var(run, monkeypatch):
     assert code == 0
 
 
+def test_enumerate_caterpillars_only_respects_budget(run, monkeypatch):
+    # 4,3,2 internal: pendant vector (2,1,0) has 3! = 6 arrangements.
+    argv = ("enumerate", "--degseq", "4,3,2,1*5", "--caterpillars-only")
+    code, out, err = run(*argv, "--budget-labeled", "1")
+    assert code == 3
+    assert out == ""
+    assert "predicted 6 caterpillar arrangements" in err
+    monkeypatch.setenv("TREEXTREMAL_BUDGET", "5")
+    code, _, err = run(*argv)
+    assert code == 3
+    assert "predicted 6 caterpillar arrangements exceeds budget 5" in err
+    monkeypatch.setenv("TREEXTREMAL_BUDGET", "6")
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 3
+
+
+def test_verify_caterpillar_claims_respect_budget(run):
+    for claim in ("thm-3.5", "thm-3.6-shape", "thm-4.1", "thm-4.2"):
+        code, out, err = run("verify", claim, "--max-n", "8", "--budget-labeled", "1")
+        assert code == 3, claim
+        assert out == ""
+        assert "caterpillar arrangements exceeds budget 1" in err
+
+
 def test_internal_inconsistency_exit_code(run, monkeypatch):
     from treextremal import extremal
 

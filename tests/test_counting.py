@@ -24,7 +24,7 @@ from treextremal.counting import _down_counts
 from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import IndexOutOfRange, TooLarge, VertexOutOfRange
 from treextremal.prufer import prufer_decode
-from treextremal.trees import Tree, bfs_distances, path_tree, star_tree
+from treextremal.trees import Tree, bfs, path_tree, star_tree
 
 FORK = caterpillar_build((1, 0))  # spine 0-1-2-3, pendant 4 at vertex 1
 SPIDER = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -213,7 +213,7 @@ def test_wiener_reference_values():
 def _all_pairs_wiener(t):
     total = 0
     for v in range(t.n):
-        total += sum(bfs_distances(t, v))
+        total += sum(bfs(t, v)[2])
     return total // 2
 
 

@@ -120,6 +120,15 @@ def test_budget_refusal():
     assert len(list(enumerate_trees(parse_degree_sequence("2*14,1,1")))) == 1
 
 
+def test_caterpillar_budget_refusal():
+    ds = parse_degree_sequence("4,3,2,1*5")
+    assert count_caterpillar_arrangements(ds) == 6
+    with pytest.raises(BudgetExceeded) as err:
+        list(enumerate_caterpillars(ds, EnumerationBudget(max_labeled=5)))
+    assert err.value.predicted == 6
+    assert len(list(enumerate_caterpillars(ds, EnumerationBudget(max_labeled=6)))) == 3
+
+
 def test_free_tree_counts():
     # UNLABELED_COUNTS covers n <= 16; Otter's formula has no table limit.
     assert count_free_trees(20) == 823065

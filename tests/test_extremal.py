@@ -11,7 +11,7 @@ import pytest
 
 from treextremal.canonical import canonical_form
 from treextremal.caterpillars import Caterpillar, caterpillar_build
-from treextremal.counting import brute_force_count, component_counts, count_subtrees
+from treextremal.counting import _down_counts, brute_force_count, component_counts, count_subtrees
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
 from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import ClosedFormUnavailable, IndexOutOfRange, NotApplicable, WrongK
@@ -19,6 +19,7 @@ from treextremal.extremal import (
     branch_shift_context,
     branch_shift_inequality,
     closed_form_phi,
+    extremes,
     find_max_subtrees,
     find_min_subtrees,
     predict_min_k5,
@@ -28,6 +29,13 @@ from treextremal.extremal import (
 from treextremal.trees import Tree, is_caterpillar, path_tree
 
 SPIDER = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+def test_extremes_keeps_every_tie_in_input_order():
+    words = ["bb", "a", "cc", "d", "ee"]
+    assert extremes(words, len) == (1, ["a", "d"], 5)
+    assert extremes(words, len, maximize=True) == (2, ["bb", "cc", "ee"], 5)
+    assert extremes(iter([]), len) == (None, [], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +276,11 @@ def test_branch_shift_not_applicable():
 
 
 def test_branch_shift_tail_weight_telescopes():
-    # The a-product series must equal the containment count of the first
-    # far-side spine vertex in its whole component (computed directly),
-    # which is what the gating inequality actually compares against.
-    from treextremal.extremal import _f_blocked
-
+    # Each returned quantity is a containment count in one component, which
+    # a down count from another root gives directly. In particular the
+    # a-product series must telescope to the count through the first
+    # far-side spine vertex, which is what the gating inequality compares.
+    checked = 0
     for n in range(7, 10):
         for ds in enumerate_degree_sequences(n):
             for t in enumerate_trees(ds):
@@ -284,10 +292,13 @@ def test_branch_shift_tail_weight_telescopes():
                             ctx = branch_shift_context(t, y, v_r)
                         except NotApplicable:
                             continue
-                        _, tail, _ = branch_shift_inequality(t, ctx)
-                        v_l, v_next = ctx.path[ctx.l], ctx.path[ctx.l + 1]
-                        cut = frozenset({tuple(sorted((v_l, v_next)))})
-                        assert tail == _f_blocked(t, v_next, cut)
+                        weight, tail, branch = branch_shift_inequality(t, ctx)
+                        path, l = ctx.path, ctx.l
+                        assert tail == _down_counts(t, path[0])[0][path[l + 1]]
+                        assert branch == _down_counts(t, path[l])[0][y]
+                        assert weight * (1 + branch) == _down_counts(t, path[l + 1])[0][path[l]]
+                        checked += 1
+    assert checked == 95  # every applicable instance with 7 <= n <= 9
 
 
 def test_branch_shift_preserves_degrees_everywhere():

@@ -3,6 +3,7 @@ import pytest
 from treextremal.errors import InvalidTree, ParseError, VertexOutOfRange
 from treextremal.trees import (
     Tree,
+    bfs,
     diameter,
     is_caterpillar,
     path_between,
@@ -83,3 +84,14 @@ def test_path_between():
     assert path_between(t, 1, 4) == [1, 2, 3, 4]
     assert path_between(t, 4, 1) == [4, 3, 2, 1]
     assert path_between(t, 2, 2) == [2]
+
+
+def test_bfs_order_parents_and_distances():
+    t = Tree(6, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5)])
+    order, parent, dist = bfs(t, 1)
+    assert order == [1, 0, 2, 3, 5, 4]
+    assert parent == [1, -1, 1, 1, 3, 0]
+    assert dist == [1, 0, 1, 1, 2, 2]
+    assert bfs(Tree(1, []), 0) == ([0], [-1], [0])
+    with pytest.raises(VertexOutOfRange):
+        bfs(t, 6)

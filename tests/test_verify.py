@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from treextremal.enumeration import EnumerationBudget
+from treextremal.errors import BudgetExceeded
 from treextremal.verify import (
     CLAIM_IDS,
+    VerificationReport,
     explore_wiener_correspondence,
     run_claim,
     verify_caterpillar_minimality,
@@ -107,6 +110,24 @@ def test_payload_is_json_safe_with_string_counts():
     payload = report.to_payload()
     text = json.dumps(payload)
     assert json.loads(text) == payload
+
+
+def test_payload_int_types_do_not_depend_on_magnitude():
+    big = 2**31 + 1
+    report = VerificationReport(
+        "thm-2.1", {"max_n": 9}, big, [{"instance": {"y": big}}], "fail", {"count": big}
+    )
+    payload = json.loads(json.dumps(report.to_payload()))
+    assert payload["instances_checked"] == big
+    assert payload["findings"]["count"] == big
+    assert payload["failures"][0]["instance"]["y"] == big
+
+
+def test_caterpillar_claims_respect_budget():
+    tiny = EnumerationBudget(max_labeled=1)
+    for claim in ("thm-3.5", "thm-3.6-shape", "thm-4.1", "thm-4.2"):
+        with pytest.raises(BudgetExceeded):
+            run_claim(claim, 8, budget=tiny)
 
 
 def test_run_claim_dispatch():
