@@ -10,12 +10,16 @@ Two independent routes are kept on purpose:
 * brute_force_count, which grows connected subsets one vertex at a time and
   shares no recursion with the DP. It is the oracle the test suite holds
   everything else against.
+
+caterpillar_phi counts a caterpillar straight from its pendant vector in
+O(k), with no Tree; the caterpillar search scores every arrangement with
+it and recounts each winner with count_subtrees.
 """
 
 from typing import Sequence
 
 from .caterpillars import Caterpillar
-from .errors import IndexOutOfRange, TooLarge, VertexOutOfRange
+from .errors import EmptySpine, IndexOutOfRange, TooLarge, VertexOutOfRange
 from .trees import Tree, bfs
 
 
@@ -165,6 +169,30 @@ def component_counts(
     if not (0 <= j <= k + 1):
         raise IndexOutOfRange(f"row index {j} outside 0..{k + 1}")
     return rows[j]
+
+
+def caterpillar_phi(y) -> int:
+    """phi(C(y)) in O(k) integer steps, without building the tree.
+
+    A subtree holding no spine vertex is a single leaf (n - k of them).
+    Every other subtree meets the spine in a contiguous run ending at some
+    v_j; it contains v_j, any of v_j's pendants, and either stops there or
+    continues into a subtree through v_{j-1} on the left, so there are
+    S_j = 2**y_j (1 + S_{j-1}) of them, with S_0 = 1 for the end leaf v_0.
+    S_j is the f_le column of component_counts. Runs ending at v_k may also
+    take the end leaf v_{k+1}, which counts S_k once more:
+
+        phi = (n - k) + S_1 + ... + S_k + S_k
+    """
+    y = tuple(y)
+    if not y or min(y) < 0:
+        raise EmptySpine(f"pendant counts must be a nonempty vector of values >= 0: {y}")
+    s = 1
+    total = 0
+    for v in y:
+        s = (s + 1) << v
+        total += s
+    return total + s + sum(y) + 2
 
 
 def brute_force_count(t: Tree) -> int:

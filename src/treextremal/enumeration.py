@@ -6,7 +6,11 @@ which lists every unlabeled tree on n vertices exactly once as a level
 sequence: the depths of the vertices in preorder from a root at a central
 vertex, with the root's subtrees in nonincreasing order. A realization of a degree
 sequence is a generated tree whose sorted degrees match, so no
-deduplication is needed and only matching trees are ever built. The
+deduplication is needed and only matching trees are ever built.
+Caterpillars are the multiset permutations of the pendant vector, each
+mirror class kept at the permutation that is no greater than its reverse,
+so no seen-set is needed either; they are yielded as pendant vectors, not
+trees, and searches score them with counting.caterpillar_phi. The
 generation cost, the number of free trees on n vertices or of caterpillar
 arrangements, is checked against a budget before any work starts (this
 module is the only one that knows the budget policy): refusing is an
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .caterpillars import Caterpillar, caterpillar_canonical
+from .caterpillars import Caterpillar
 from .degrees import DegreeSequence
 from .errors import BudgetExceeded, NoInternalVertices
 from .trees import Tree, path_tree, star_tree
@@ -199,9 +203,12 @@ def enumerate_caterpillars(
     """All caterpillars realizing ds, one per isomorphism class.
 
     These are the distinct multiset permutations of (d_1 - 2, ..., d_k - 2)
-    modulo reversal; each class is yielded in its canonical orientation, in
-    first-seen order under lexicographic permutations. The permutation
-    count is checked against budget.max_labeled before the first one.
+    modulo reversal. Permutations come in increasing lexicographic order, so
+    a class is first met at the smaller of its two orientations: a
+    permutation is kept exactly when it is no greater than its reverse, and
+    the class is yielded in its canonical orientation (that reverse), with
+    no set of classes seen. The permutation count is checked against
+    budget.max_labeled before the first one.
     """
     arrangements = count_caterpillar_arrangements(ds)
     if arrangements > budget.max_labeled:
@@ -211,12 +218,10 @@ def enumerate_caterpillars(
             arrangements,
         )
     pendants = [d - 2 for d in ds.internal]
-    seen: set[tuple[int, ...]] = set()
     for perm in lexicographic_multiset_permutations(pendants):
-        canon = caterpillar_canonical(perm)
-        if canon not in seen:
-            seen.add(canon)
-            yield Caterpillar(canon)
+        mirror = perm[::-1]
+        if perm <= mirror:
+            yield Caterpillar(mirror)
 
 
 def count_caterpillar_arrangements(ds: DegreeSequence) -> int:

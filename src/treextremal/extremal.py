@@ -17,6 +17,11 @@ No closed forms exist for maximization, so maximum searches are exhaustive:
 over all realizations while the budget allows, otherwise over caterpillars
 only (and the report says so).
 
+The caterpillar search scores each arrangement from its pendant vector with
+the O(k) caterpillar_phi and builds a Tree only for the winners, whose
+counts it recomputes with the general count_subtrees; a disagreement raises
+InternalInconsistency, so the shortcut is cross-checked on every search.
+
 The module also implements the two improving transformations behind these
 facts: shifting a branch off a non-caterpillar to a longest-path end, and
 reversing a spine segment of a caterpillar.
@@ -31,9 +36,10 @@ from .caterpillars import (
     caterpillar_canonical,
     caterpillar_from_tree,
 )
-from .counting import _down_counts, count_subtrees
+from .counting import _down_counts, caterpillar_phi, count_subtrees
 from .degrees import DegreeSequence
 from .errors import (
+    BudgetExceeded,
     ClosedFormUnavailable,
     IndexOutOfRange,
     InternalInconsistency,
@@ -43,7 +49,6 @@ from .errors import (
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    count_free_trees,
     enumerate_caterpillars,
     enumerate_trees,
 )
@@ -184,6 +189,28 @@ def extremes(items, score, maximize=False):
     return best, winners, examined
 
 
+def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
+    """Exhaustive caterpillar search: (optimum, winners, trees, examined).
+
+    Every arrangement is scored by caterpillar_phi; winners are the optimal
+    Caterpillars in enumeration order and trees their built C(y), each
+    recounted by count_subtrees, which must agree.
+    """
+    best, winners, examined = extremes(
+        enumerate_caterpillars(ds, budget), lambda cat: caterpillar_phi(cat.y), maximize
+    )
+    trees = []
+    for cat in winners:
+        t = caterpillar_build(cat.y)
+        recount = count_subtrees(t)
+        if recount != best:
+            raise InternalInconsistency(
+                f"caterpillar_phi gives {best} for C{cat.y}, count_subtrees {recount}"
+            )
+        trees.append(t)
+    return best, winners, trees, examined
+
+
 def _report(ds, objective, optimum, winner_trees, method, examined) -> ExtremalReport:
     optimizers = sorted(
         (_make_optimizer(t) for t in winner_trees), key=lambda o: o.canonical_code
@@ -228,8 +255,12 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
         return _report(ds, objective, value, trees, method, len(ys))
     if method == "auto":
         if maximize:
-            fits = ds.n <= budget.max_n and count_free_trees(ds.n) <= budget.max_labeled
-            method = "brute" if fits else "caterpillar"
+            # enumerate_trees refuses before yielding anything, so a refusal
+            # leaves nothing half-scored.
+            try:
+                return _search(ds, objective, "brute", budget)
+            except BudgetExceeded:
+                method = "caterpillar"
         elif ds.k <= 5:
             value, ys = _closed_form_minimizers(ds)
             search = _search(ds, objective, "caterpillar", budget)
@@ -244,10 +275,9 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
         else:
             method = "caterpillar"
     if method == "brute":
-        candidates = enumerate_trees(ds, budget)
+        best, winners, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
     else:
-        candidates = (cat.build() for cat in enumerate_caterpillars(ds, budget))
-    best, winners, examined = extremes(candidates, count_subtrees, maximize)
+        best, _, winners, examined = _caterpillar_extremes(ds, budget, maximize)
     return _report(ds, objective, best, winners, method, examined)
 
 
@@ -260,7 +290,8 @@ def find_min_subtrees(
     minimizer up to isomorphism.
 
     Methods: "brute" enumerates all trees; "caterpillar" searches only
-    caterpillars (complete for minimization); "closed-form" uses the k <= 5
+    caterpillars (complete for minimization), scoring each pendant vector in
+    O(k) and recounting the winners' trees; "closed-form" uses the k <= 5
     formulas; "auto" picks the closed form for k <= 5 (always cross-checked
     against the caterpillar search, at most 5! = 120 arrangements) and the
     caterpillar search otherwise.
@@ -276,9 +307,9 @@ def find_max_subtrees(
     """Maximum subtree count; mirror of find_min_subtrees.
 
     No closed forms exist for maximization, so "auto" runs the full brute
-    search when the budget allows it (n within max_n and the free trees on
-    n vertices within max_labeled) and otherwise falls back to the
-    caterpillar-only search, recording that restriction in ``method``.
+    search and, when enumerate_trees refuses it under the budget, falls back
+    to the caterpillar-only search, recording that restriction in
+    ``method``.
     """
     return _search(ds, MAX_SUBTREES, method, budget)
 

@@ -26,15 +26,14 @@ from operator import itemgetter
 from .canonical import canonical_form
 from .caterpillars import Caterpillar, caterpillar_canonical
 from .counting import count_subtrees, wiener_index
-from .degrees import DegreeSequence
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
 )
 from .extremal import (
+    _caterpillar_extremes,
     branch_shift_context,
     branch_shift_inequality,
     closed_form_phi,
@@ -97,14 +96,6 @@ def _sequences(max_n: int, min_k: int = 0, max_k: int | None = None):
             if max_k is not None and ds.k > max_k:
                 continue
             yield ds
-
-
-def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
-    """Optimum and every optimal caterpillar over all arrangements of ds."""
-    best, winners, _ = extremes(
-        enumerate_caterpillars(ds, budget), lambda cat: count_subtrees(cat.build()), maximize
-    )
-    return best, winners
 
 
 def verify_caterpillar_minimality(
@@ -180,7 +171,7 @@ def verify_valley_shape(
     for ds in _sequences(max_n, min_k=3, max_k=max_k):
         instances += 1
         floor = ds.degrees[ds.k - 1] - 2
-        _, winners = _caterpillar_extremes(ds, budget, maximize=False)
+        _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
         for cat in winners:
             for z in _orientations(cat):
                 if not _valley_ok(z, floor):
@@ -212,7 +203,7 @@ def verify_mountain_shape(
     instances = 0
     for ds in _sequences(max_n, min_k=3, max_k=max_k):
         instances += 1
-        _, winners = _caterpillar_extremes(ds, budget, maximize=True)
+        _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=True)
         for cat in winners:
             for z in _orientations(cat):
                 if not _mountain_ok(z):
@@ -239,7 +230,7 @@ def verify_closed_forms(
     for ds in _sequences(max_n, min_k=2, max_k=4):
         instances += 1
         value, stated = closed_form_phi(ds)
-        best, winners = _caterpillar_extremes(ds, budget, maximize=False)
+        best, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
         observed = sorted(cat.y for cat in winners)
         expected = [caterpillar_canonical(stated)]
         if value != best or observed != expected:
@@ -269,7 +260,7 @@ def verify_trichotomy(
     for ds in _sequences(max_n, min_k=5, max_k=5):
         instances += 1
         case, predicted = predict_min_k5(ds)
-        _, winners = _caterpillar_extremes(ds, budget, maximize=False)
+        _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
         observed = {cat.y for cat in winners}
         if observed != predicted:
             failures.append(

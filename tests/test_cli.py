@@ -178,6 +178,20 @@ def test_internal_inconsistency_exit_code(run, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_caterpillar_recount_mismatch_exit_code(run, monkeypatch):
+    from treextremal import extremal
+
+    real = extremal.caterpillar_phi
+    monkeypatch.setattr(extremal, "caterpillar_phi", lambda y: real(y) + 1)
+    code, out, err = run(
+        "extremal", "--degseq", "4,4,3,3,2,1*8", "--objective", "min", "--method", "caterpillar"
+    )
+    assert code == 4
+    assert out == ""
+    assert "count_subtrees" in err
+    assert "Traceback" not in err
+
+
 def test_verify_pass_and_exit_codes(run):
     code, out, _ = run("verify", "thm-4.1", "--max-n", "9")
     assert code == 0

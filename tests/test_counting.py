@@ -13,6 +13,7 @@ import pytest
 from treextremal.caterpillars import Caterpillar, caterpillar_build
 from treextremal.counting import (
     brute_force_count,
+    caterpillar_phi,
     component_counts,
     count_all_containing,
     count_subtrees,
@@ -21,8 +22,12 @@ from treextremal.counting import (
     wiener_index,
 )
 from treextremal.counting import _down_counts
-from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
-from treextremal.errors import IndexOutOfRange, TooLarge, VertexOutOfRange
+from treextremal.enumeration import (
+    enumerate_caterpillars,
+    enumerate_degree_sequences,
+    enumerate_trees,
+)
+from treextremal.errors import EmptySpine, IndexOutOfRange, TooLarge, VertexOutOfRange
 from treextremal.prufer import prufer_decode
 from treextremal.trees import Tree, bfs, path_tree, star_tree
 
@@ -159,6 +164,52 @@ def test_component_count_rows():
     assert component_counts(Caterpillar((1, 0, 0)), 1) == (2, 4, 8)
     with pytest.raises(IndexOutOfRange):
         component_counts(Caterpillar((1, 0, 0)), 5)
+
+
+def test_caterpillar_phi_on_every_class_up_to_14():
+    # Every caterpillar class of every degree sequence with n <= 14, in both
+    # orientations, against the DP and the oracle on the built tree.
+    classes = 0
+    for n in range(3, 15):
+        for ds in enumerate_degree_sequences(n):
+            if ds.k == 0:
+                continue
+            for cat in enumerate_caterpillars(ds):
+                classes += 1
+                t = caterpillar_build(cat.y)
+                phi = caterpillar_phi(cat.y)
+                assert phi == caterpillar_phi(cat.y[::-1])
+                assert phi == count_subtrees(t) == brute_force_count(t), cat.y
+    assert classes == 2142
+
+
+def test_caterpillar_phi_random_vectors():
+    rng = random.Random(20121)
+    for _ in range(2000):
+        y = tuple(rng.randint(0, 8) for _ in range(rng.randint(1, 12)))
+        assert caterpillar_phi(y) == count_subtrees(caterpillar_build(y)), y
+
+
+def test_caterpillar_phi_is_the_f_le_sum():
+    # phi = (n - k) + f_le(1) + ... + f_le(k) + f_le(k): the runs of spine
+    # vertices ending at v_j, plus those at v_k that also take v_{k+1}.
+    rng = random.Random(7)
+    for _ in range(200):
+        cat = Caterpillar(tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 8))))
+        rows = component_counts(cat)
+        f_le = [rows[j][1] for j in range(1, cat.k + 1)]
+        assert caterpillar_phi(cat.y) == cat.n - cat.k + sum(f_le) + f_le[-1]
+
+
+def test_caterpillar_phi_golden_values_and_rejections():
+    assert caterpillar_phi((1, 0)) == 17
+    assert caterpillar_phi((1, 0, 0)) == 24
+    assert caterpillar_phi((0, 1, 0)) == 25
+    assert caterpillar_phi((6, 0, 1, 1, 1)) == 3142
+    assert caterpillar_phi((3,)) == count_subtrees(star_tree(6))
+    for bad in [(), (1, -1)]:
+        with pytest.raises(EmptySpine):
+            caterpillar_phi(bad)
 
 
 def test_component_counts_match_direct_computation():

@@ -15,6 +15,7 @@ from treextremal.enumeration import (
     lexicographic_multiset_permutations,
 )
 from treextremal.errors import BudgetExceeded, NoInternalVertices
+from treextremal.extremal import find_max_subtrees, find_min_subtrees
 from treextremal.prufer import prufer_decode
 from treextremal.trees import is_caterpillar
 
@@ -162,6 +163,38 @@ def test_caterpillar_enumeration():
     assert count_caterpillar_arrangements(ds) == 120
     with pytest.raises(NoInternalVertices):
         list(enumerate_caterpillars(DegreeSequence((1, 1))))
+
+
+def _seen_set_caterpillars(ds):
+    """Reference: canonical orientation of each permutation, first-seen order."""
+    seen = []
+    for perm in lexicographic_multiset_permutations([d - 2 for d in ds.internal]):
+        canon = max(perm, perm[::-1])
+        if canon not in seen:
+            seen.append(canon)
+    return seen
+
+
+def test_caterpillar_order_matches_seen_set_reference():
+    for n in range(3, 13):
+        for ds in enumerate_degree_sequences(n):
+            if ds.k == 0:
+                continue
+            assert [c.y for c in enumerate_caterpillars(ds)] == _seen_set_caterpillars(ds)
+
+
+def test_caterpillar_search_examines_each_class_once():
+    pinned = {
+        "4,4,3,3,2,1*8": 16,
+        "3*7,1*9": 1,
+        "5,4,3,3,2,2,1*9": 90,
+        "6,5,4,3,3,2,2,1*13": 630,
+        "4,4,3,3,3,2,2,2,2,1*9": 636,
+    }
+    for text, classes in pinned.items():
+        ds = parse_degree_sequence(text)
+        assert find_min_subtrees(ds, method="caterpillar").trees_examined == classes
+        assert find_max_subtrees(ds, method="caterpillar").trees_examined == classes
 
 
 def test_caterpillars_match_filtered_tree_enumeration():

@@ -13,8 +13,14 @@ from treextremal.canonical import canonical_form
 from treextremal.caterpillars import Caterpillar, caterpillar_build
 from treextremal.counting import _down_counts, brute_force_count, component_counts, count_subtrees
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
-from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
-from treextremal.errors import ClosedFormUnavailable, IndexOutOfRange, NotApplicable, WrongK
+from treextremal.enumeration import EnumerationBudget, enumerate_degree_sequences, enumerate_trees
+from treextremal.errors import (
+    ClosedFormUnavailable,
+    IndexOutOfRange,
+    InternalInconsistency,
+    NotApplicable,
+    WrongK,
+)
 from treextremal.extremal import (
     branch_shift_context,
     branch_shift_inequality,
@@ -211,6 +217,29 @@ def test_find_max_can_beat_every_caterpillar():
     assert canonical_form(full.optimizers[0].tree) == canonical_form(SPIDER)
     restricted = find_max_subtrees(ds, "caterpillar")
     assert restricted.optimum < full.optimum
+
+
+def test_auto_max_falls_back_only_when_enumeration_refuses():
+    # The star is its sequence's only tree; enumerate_trees yields it under
+    # any budget, so auto max reports the full search, not a restriction.
+    star = find_max_subtrees(parse_degree_sequence("7,1*7"), budget=EnumerationBudget(max_labeled=1))
+    assert star.method == "brute"
+    assert star.optimum == 2**7 + 7
+    ds = DegreeSequence((3, 2, 2, 1, 1, 1))
+    assert find_max_subtrees(ds, budget=EnumerationBudget(max_labeled=5)).method == "caterpillar"
+    assert find_max_subtrees(ds, budget=EnumerationBudget(max_n=5)).method == "caterpillar"
+    assert find_max_subtrees(ds, budget=EnumerationBudget(max_labeled=6)).method == "brute"
+
+
+def test_caterpillar_search_recounts_winners(monkeypatch):
+    from treextremal import extremal
+
+    ds = parse_degree_sequence("4,4,3,3,2,1*8")
+    real = extremal.caterpillar_phi
+    monkeypatch.setattr(extremal, "caterpillar_phi", lambda y: real(y) + 1)
+    for search in (find_min_subtrees, find_max_subtrees):
+        with pytest.raises(InternalInconsistency, match="count_subtrees"):
+            search(ds, method="caterpillar")
 
 
 def test_find_max_closed_form_unavailable():
