@@ -3,8 +3,8 @@
 The library answers three questions about the number of nonempty subtrees
 phi(T) of a tree:
 
-* how many subtrees does this tree have (and how many contain given
-  vertices)?
+* how many subtrees does this tree have (and how many contain each
+  vertex)?
 * which trees realizing a given degree sequence minimize or maximize
   phi, exactly and exhaustively?
 * do the structural facts the search relies on (minimizers are
@@ -28,7 +28,6 @@ from .counting import (
     count_all_containing,
     count_subtrees,
     count_subtrees_containing,
-    count_subtrees_containing_set,
     wiener_index,
 )
 from .degrees import DegreeSequence, degree_sequence, parse_degree_sequence
@@ -49,10 +48,9 @@ from .extremal import (
     find_max_subtrees,
     find_min_subtrees,
     predict_min_k5,
-    reverse_segment,
     shift_branch_to_end,
 )
-from .prufer import prufer_decode, prufer_encode
+from .prufer import prufer_decode
 from .trees import (
     Tree,
     diameter,
@@ -60,7 +58,6 @@ from .trees import (
     path_tree,
     star_tree,
     tree_from_edge_list,
-    tree_to_edge_list,
 )
 from .verify import (
     CLAIM_IDS,
@@ -101,7 +98,6 @@ __all__ = [
     "count_free_trees",
     "count_subtrees",
     "count_subtrees_containing",
-    "count_subtrees_containing_set",
     "degree_sequence",
     "diameter",
     "enumerate_caterpillars",
@@ -115,14 +111,11 @@ __all__ = [
     "path_tree",
     "predict_min_k5",
     "prufer_decode",
-    "prufer_encode",
-    "reverse_segment",
     "rooted_code",
     "run_claim",
     "shift_branch_to_end",
     "star_tree",
     "tree_from_edge_list",
-    "tree_to_edge_list",
     "verify_caterpillar_minimality",
     "verify_closed_forms",
     "verify_mountain_shape",

@@ -41,9 +41,6 @@ class Caterpillar:
     def build(self) -> Tree:
         return caterpillar_build(self.y)
 
-    def canonical(self) -> "Caterpillar":
-        return Caterpillar(caterpillar_canonical(self.y))
-
 
 def caterpillar_canonical(y) -> tuple[int, ...]:
     """The lexicographically greater of y and its reverse (mirror dedupe)."""

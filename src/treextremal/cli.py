@@ -21,7 +21,7 @@ from .counting import count_all_containing, count_subtrees, wiener_index
 from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
 from .errors import BudgetExceeded, InternalInconsistency, ParseError, TooLarge, TreextremalError
-from .extremal import find_max_subtrees, find_min_subtrees
+from .extremal import METHODS, find_max_subtrees, find_min_subtrees
 from .trees import diameter, is_caterpillar, tree_from_edge_list
 from .verify import CLAIM_IDS, FAIL, run_claim
 
@@ -76,7 +76,7 @@ def _budget(args) -> EnumerationBudget:
                 raise TreextremalError(f"{BUDGET_ENV} must be an integer, got {env!r}")
     if cap is None:
         return DEFAULT_BUDGET
-    return EnumerationBudget(max_labeled=cap, max_n=DEFAULT_BUDGET.max_n)
+    return EnumerationBudget(max_labeled=cap)
 
 
 def _parse_y_vector(text: str) -> tuple[int, ...]:
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="minimize or maximize the subtree count")
     p.add_argument("--degseq", required=True, help="degree sequence, e.g. '8,3,3,3,2,1*11'")
     p.add_argument("--objective", choices=("min", "max"), default="min")
-    p.add_argument("--method", choices=("auto", "brute", "caterpillar", "closed-form"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--budget-labeled", type=int, default=None, help=BUDGET_HELP)
     common(p)
     p.set_defaults(func=cmd_extremal)

@@ -16,10 +16,8 @@ O(k), with no Tree; the caterpillar search scores every arrangement with
 it and recounts each winner with count_subtrees.
 """
 
-from typing import Sequence
-
 from .caterpillars import Caterpillar
-from .errors import EmptySpine, IndexOutOfRange, TooLarge, VertexOutOfRange
+from .errors import EmptySpine, IndexOutOfRange, TooLarge
 from .trees import Tree, bfs
 
 
@@ -87,56 +85,6 @@ def count_all_containing(t: Tree) -> list[int]:
         for i, c in enumerate(children):
             up[c] = side * prefix[i] * suffix[i + 1]
     return result
-
-
-def _steiner_vertices(t: Tree, vs: Sequence[int]) -> set[int]:
-    """Vertex set of the minimal subtree spanning vs."""
-    keep = set(vs)
-    degree = [len(a) for a in t.adjacency]
-    alive = set(range(t.n))
-    strippable = [v for v in alive if degree[v] <= 1 and v not in keep]
-    while strippable:
-        v = strippable.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for w in t.adjacency[v]:
-            if w in alive:
-                degree[w] -= 1
-                if degree[w] <= 1 and w not in keep:
-                    strippable.append(w)
-    return alive
-
-
-def count_subtrees_containing_set(t: Tree, vs: Sequence[int]) -> int:
-    """Number of subtrees containing every vertex in vs.
-
-    Any such subtree contains the whole minimal spanning subtree of vs, so
-    contracting that subtree to a single vertex reduces the question to the
-    single-vertex count. Contracting a connected piece of a tree never
-    creates parallel edges.
-    """
-    vs = list(vs)
-    if not vs:
-        raise VertexOutOfRange("vertex set must be nonempty")
-    for v in vs:
-        t.check_vertex(v)
-    block = _steiner_vertices(t, vs)
-    if len(block) == t.n:
-        return 1
-    relabel = {}
-    nxt = 1
-    for v in range(t.n):
-        relabel[v] = 0 if v in block else nxt
-        if v not in block:
-            nxt += 1
-    edges = []
-    for u, v in t.edges:
-        ru, rv = relabel[u], relabel[v]
-        if ru != rv:
-            edges.append((ru, rv))
-    contracted = Tree(nxt, edges)
-    return count_subtrees_containing(contracted, 0)
 
 
 def component_counts(

@@ -26,7 +26,7 @@ from typing import Iterator
 from .caterpillars import Caterpillar
 from .degrees import DegreeSequence
 from .errors import BudgetExceeded, NoInternalVertices
-from .trees import Tree, path_tree, star_tree
+from .trees import Tree, star_tree
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,6 @@ def enumerate_trees(
         )
     if ds.n == 1:
         yield Tree(1, [])
-        return
-    if ds.n == 2:
-        yield path_tree(2)
         return
     if ds.k == 1:
         yield star_tree(ds.n)

@@ -22,26 +22,20 @@ the O(k) caterpillar_phi and builds a Tree only for the winners, whose
 counts it recomputes with the general count_subtrees; a disagreement raises
 InternalInconsistency, so the shortcut is cross-checked on every search.
 
-The module also implements the two improving transformations behind these
-facts: shifting a branch off a non-caterpillar to a longest-path end, and
-reversing a spine segment of a caterpillar.
+The module also implements the improving transformation behind the first
+of these facts: shifting a branch off a non-caterpillar to a longest-path
+end.
 """
 
 from dataclasses import dataclass
 
 from .canonical import canonical_form
-from .caterpillars import (
-    Caterpillar,
-    caterpillar_build,
-    caterpillar_canonical,
-    caterpillar_from_tree,
-)
+from .caterpillars import caterpillar_build, caterpillar_canonical, caterpillar_from_tree
 from .counting import _down_counts, caterpillar_phi, count_subtrees
 from .degrees import DegreeSequence
 from .errors import (
     BudgetExceeded,
     ClosedFormUnavailable,
-    IndexOutOfRange,
     InternalInconsistency,
     NotApplicable,
     WrongK,
@@ -52,7 +46,7 @@ from .enumeration import (
     enumerate_caterpillars,
     enumerate_trees,
 )
-from .trees import Tree, bfs, diameter, is_caterpillar, path_tree
+from .trees import Tree, bfs, diameter, is_caterpillar
 
 MIN_SUBTREES = "min-subtrees"
 MAX_SUBTREES = "max-subtrees"
@@ -246,7 +240,7 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
     if maximize and method == "closed-form":
         raise ClosedFormUnavailable("no closed forms exist for maximization")
     if ds.k == 0:  # the single tree on one or two vertices
-        t = Tree(1, []) if ds.n == 1 else path_tree(2)
+        (t,) = enumerate_trees(ds, budget)
         method = "closed-form" if method == "auto" else method
         return _report(ds, objective, count_subtrees(t), [t], method, 1)
     if method == "closed-form":
@@ -413,27 +407,3 @@ def branch_shift_inequality(t: Tree, ctx: BranchShiftContext) -> tuple[int, int,
         series = 1 + a[j] * series
     weight = down[path[l]] // (1 + down[ctx.y])
     return weight, a[l + 1] * series, down[ctx.y]
-
-
-# ---------------------------------------------------------------------------
-# Spine segment reversal: the improving move inside the caterpillar class.
-# ---------------------------------------------------------------------------
-
-
-def reverse_segment(c: Caterpillar, p: int, q: int) -> Caterpillar:
-    """Reverse the pendant counts on spine positions p - q .. p + q.
-
-    Positions are 1-based spine indices with 2 <= p <= k - 1 and
-    1 <= q <= min(k - p, p - 1), matching the edge swap that detaches the
-    middle block and reattaches it flipped. The degree sequence is
-    unchanged; under the documented component inequalities the reversal
-    strictly lowers the subtree count.
-    """
-    k = c.k
-    if not (2 <= p <= k - 1):
-        raise IndexOutOfRange(f"pivot p={p} outside 2..{k - 1}")
-    if not (1 <= q <= min(k - p, p - 1)):
-        raise IndexOutOfRange(f"radius q={q} outside 1..{min(k - p, p - 1)}")
-    y = list(c.y)
-    y[p - q - 1 : p + q] = reversed(y[p - q - 1 : p + q])
-    return Caterpillar(tuple(y))

@@ -1,8 +1,8 @@
-"""Pruefer codec: the bijection between labeled trees on n >= 2 vertices
-and words of length n - 2 over the labels.
+"""Pruefer decoding: words of length n - 2 over the labels 0..n-1 map
+one-to-one onto the labeled trees on n >= 2 vertices.
 
 Vertex i appears in the word exactly deg(i) - 1 times. The searches do not
-use the codec (they generate free trees directly); it stays public as a
+decode (they generate free trees directly); decoding stays public as a
 source of uniformly random labeled trees and as an independent oracle for
 the free-tree generator.
 """
@@ -41,26 +41,3 @@ def prufer_decode(seq: list[int], n: int) -> Tree:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return Tree(n, edges)
-
-
-def prufer_encode(t: Tree) -> list[int]:
-    """Inverse of prufer_decode: repeatedly strip the smallest leaf."""
-    if t.n < 2:
-        raise LengthMismatch(f"encoding needs n >= 2, got n={t.n}")
-    degree = [len(a) for a in t.adjacency]
-    alive = [set(a) for a in t.adjacency]
-    leaves = [v for v in range(t.n) if degree[v] == 1]
-    heapq.heapify(leaves)
-
-    seq = []
-    for _ in range(t.n - 2):
-        u = heapq.heappop(leaves)
-        (a,) = alive[u]
-        seq.append(a)
-        alive[a].discard(u)
-        alive[u].clear()
-        degree[a] -= 1
-        degree[u] -= 1
-        if degree[a] == 1:
-            heapq.heappush(leaves, a)
-    return seq

@@ -155,19 +155,3 @@ def tree_from_edge_list(text: str) -> Tree:
             raise ParseError(f"non-integer endpoint in {ln!r}") from None
         edges.append((u, v))
     return Tree(n, edges)
-
-
-def tree_to_edge_list(t: Tree) -> str:
-    lines = [str(t.n)]
-    lines.extend(f"{u} {v}" for u, v in t.edges)
-    return "\n".join(lines) + "\n"
-
-
-def path_between(t: Tree, src: int, dst: int) -> list[int]:
-    """The unique src..dst path as a vertex list (inclusive)."""
-    t.check_vertex(src)
-    parent = bfs(t, dst)[1]
-    path = [src]
-    while path[-1] != dst:
-        path.append(parent[path[-1]])
-    return path

@@ -48,15 +48,19 @@ PASS = "pass"
 FAIL = "fail"
 REPORT_ONLY = "report-only"
 
-CLAIM_IDS = (
-    "thm-2.1",
-    "thm-3.5",
-    "thm-3.6-shape",
-    "thm-4.1",
-    "thm-4.2",
-    "eq-2.1-monotonic",
-    "wiener-correspondence",
-)
+# The claim ids, each with the default cap on n of its universe.
+_DEFAULT_MAX_N = {
+    "thm-2.1": 9,
+    "thm-3.5": 13,
+    "thm-3.6-shape": 13,
+    "thm-4.1": 12,
+    "thm-4.2": 13,
+    "eq-2.1-monotonic": 9,
+    "wiener-correspondence": 9,
+}
+_DEFAULT_MAX_K = 6  # the shape claims' cap on k
+
+CLAIM_IDS = tuple(_DEFAULT_MAX_N)
 
 
 @dataclass
@@ -162,7 +166,7 @@ def _orientations(cat: Caterpillar) -> list[tuple[int, ...]]:
 
 
 def verify_valley_shape(
-    max_n: int, max_k: int = 6, budget: EnumerationBudget = DEFAULT_BUDGET
+    max_n: int, max_k: int = _DEFAULT_MAX_K, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Minimizing caterpillars decrease to the minimum pendant count, then
     never decrease again; when d_2 > d_k the far end stays above the floor."""
@@ -196,7 +200,7 @@ def verify_valley_shape(
 
 
 def verify_mountain_shape(
-    max_n: int, max_k: int = 6, budget: EnumerationBudget = DEFAULT_BUDGET
+    max_n: int, max_k: int = _DEFAULT_MAX_K, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Maximizing caterpillars rise to a peak, then never increase again."""
     failures = []
@@ -290,37 +294,36 @@ def verify_transformation_monotonicity(
     trees_seen = 0
     applicable = 0
     decreased = 0
-    for n in range(2, max_n + 1):
-        for ds in enumerate_degree_sequences(n):
-            for t in enumerate_trees(ds, budget):
-                if is_caterpillar(t):
-                    continue
-                trees_seen += 1
-                phi = count_subtrees(t)
-                for y in range(t.n):
-                    for v_r in range(t.n):
-                        try:
-                            ctx = branch_shift_context(t, y, v_r)
-                        except NotApplicable:
-                            continue
-                        weight, tail, branch = branch_shift_inequality(t, ctx)
-                        if not (weight > tail and branch > 1):
-                            continue
-                        applicable += 1
-                        shifted = shift_branch_to_end(t, y, v_r)
-                        phi2 = count_subtrees(shifted)
-                        if phi2 < phi:
-                            decreased += 1
-                        else:
-                            failures.append(
-                                {
-                                    "degree_sequence": list(ds.degrees),
-                                    "witnesses": [canonical_form(t), canonical_form(shifted)],
-                                    "expected": f"count below {phi}",
-                                    "observed": str(phi2),
-                                    "instance": {"y": y, "v_r": v_r},
-                                }
-                            )
+    for ds in _sequences(max_n):
+        for t in enumerate_trees(ds, budget):
+            if is_caterpillar(t):
+                continue
+            trees_seen += 1
+            phi = count_subtrees(t)
+            for y in range(t.n):
+                for v_r in range(t.n):
+                    try:
+                        ctx = branch_shift_context(t, y, v_r)
+                    except NotApplicable:
+                        continue
+                    weight, tail, branch = branch_shift_inequality(t, ctx)
+                    if not (weight > tail and branch > 1):
+                        continue
+                    applicable += 1
+                    shifted = shift_branch_to_end(t, y, v_r)
+                    phi2 = count_subtrees(shifted)
+                    if phi2 < phi:
+                        decreased += 1
+                    else:
+                        failures.append(
+                            {
+                                "degree_sequence": list(ds.degrees),
+                                "witnesses": [canonical_form(t), canonical_form(shifted)],
+                                "expected": f"count below {phi}",
+                                "observed": str(phi2),
+                                "instance": {"y": y, "v_r": v_r},
+                            }
+                        )
     findings = {
         "non_caterpillar_trees": trees_seen,
         "applicable_instances": applicable,
@@ -396,19 +399,22 @@ def explore_wiener_correspondence(
 
 def run_claim(claim: str, max_n: int | None = None, max_k: int | None = None,
               budget: EnumerationBudget = DEFAULT_BUDGET) -> VerificationReport:
-    """Dispatch a claim id with its default universe caps."""
+    """Dispatch a claim id. A cap left as None takes the claim's default; any
+    given cap, 0 included, bounds the universe as given."""
+    if claim not in _DEFAULT_MAX_N:
+        raise ValueError(f"unknown claim {claim!r}")
+    n = _DEFAULT_MAX_N[claim] if max_n is None else max_n
+    k = _DEFAULT_MAX_K if max_k is None else max_k
     if claim == "thm-2.1":
-        return verify_caterpillar_minimality(max_n or 9, budget)
+        return verify_caterpillar_minimality(n, budget)
     if claim == "thm-3.5":
-        return verify_valley_shape(max_n or 13, max_k or 6, budget)
+        return verify_valley_shape(n, k, budget)
     if claim == "thm-3.6-shape":
-        return verify_mountain_shape(max_n or 13, max_k or 6, budget)
+        return verify_mountain_shape(n, k, budget)
     if claim == "thm-4.1":
-        return verify_closed_forms(max_n or 12, budget)
+        return verify_closed_forms(n, budget)
     if claim == "thm-4.2":
-        return verify_trichotomy(max_n or 13, budget)
+        return verify_trichotomy(n, budget)
     if claim == "eq-2.1-monotonic":
-        return verify_transformation_monotonicity(max_n or 9, budget)
-    if claim == "wiener-correspondence":
-        return explore_wiener_correspondence(max_n or 9, budget)
-    raise ValueError(f"unknown claim {claim!r}")
+        return verify_transformation_monotonicity(n, budget)
+    return explore_wiener_correspondence(n, budget)

@@ -206,6 +206,19 @@ def test_verify_report_only_exits_zero(run):
     assert json.loads(out)["results"]["status"] == "report-only"
 
 
+def test_verify_zero_cap_is_an_empty_universe(run):
+    # A cap of 0 bounds the universe; only an omitted cap takes the default.
+    for argv, cap in (
+        (("thm-4.1", "--max-n", "0"), ("max_n", 0)),
+        (("thm-3.5", "--max-n", "8", "--max-k", "0"), ("max_k", 0)),
+    ):
+        code, out, _ = run("verify", *argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["universe"][cap[0]] == cap[1]
+        assert results["instances_checked"] == 0
+
+
 def test_verify_unknown_claim(run):
     code, _, _ = run("verify", "unknown-claim")
     assert code == 2

@@ -18,7 +18,6 @@ from treextremal.counting import (
     count_all_containing,
     count_subtrees,
     count_subtrees_containing,
-    count_subtrees_containing_set,
     wiener_index,
 )
 from treextremal.counting import _down_counts
@@ -134,27 +133,11 @@ def oracle_containing_set(t, vs):
     return count
 
 
-def test_containing_set_reference_values():
-    p3 = path_tree(3)
-    assert count_subtrees_containing_set(p3, [0, 2]) == 1
-    k13 = star_tree(4)
-    assert count_subtrees_containing_set(k13, [1, 2]) == 2
-    # Fork pairs, oracle-derived: the two spine ends pin the whole spine.
-    assert count_subtrees_containing_set(FORK, [0, 3]) == 2
-    assert count_subtrees_containing_set(FORK, [0, 2]) == 4
-    assert count_subtrees_containing_set(FORK, [0]) == count_subtrees_containing(FORK, 0)
-    with pytest.raises(VertexOutOfRange):
-        count_subtrees_containing_set(FORK, [])
-    with pytest.raises(VertexOutOfRange):
-        count_subtrees_containing_set(FORK, [0, 17])
-
-
 def test_containing_set_matches_oracle():
     for t in all_trees_up_to(7):
-        vertices = range(t.n)
-        for m in (1, 2, 3):
-            for vs in itertools.combinations(vertices, min(m, t.n)):
-                assert count_subtrees_containing_set(t, vs) == oracle_containing_set(t, vs)
+        table = count_all_containing(t)
+        for v in range(t.n):
+            assert table[v] == count_subtrees_containing(t, v) == oracle_containing_set(t, [v])
 
 
 def test_component_count_rows():

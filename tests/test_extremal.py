@@ -1,22 +1,19 @@
-"""Extremal search, closed forms, the k = 5 trichotomy and the two
-improving transformations.
+"""Extremal search, closed forms, the k = 5 trichotomy and the branch
+shift.
 
 Derived expectations were computed with the subset-growth oracle (or the
 DP already proven equal to it) and frozen.
 """
 
-import itertools
-
 import pytest
 
 from treextremal.canonical import canonical_form
-from treextremal.caterpillars import Caterpillar, caterpillar_build
-from treextremal.counting import _down_counts, brute_force_count, component_counts, count_subtrees
+from treextremal.caterpillars import caterpillar_build
+from treextremal.counting import _down_counts, brute_force_count, count_subtrees
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
 from treextremal.enumeration import EnumerationBudget, enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import (
     ClosedFormUnavailable,
-    IndexOutOfRange,
     InternalInconsistency,
     NotApplicable,
     WrongK,
@@ -29,7 +26,6 @@ from treextremal.extremal import (
     find_max_subtrees,
     find_min_subtrees,
     predict_min_k5,
-    reverse_segment,
     shift_branch_to_end,
 )
 from treextremal.trees import Tree, is_caterpillar, path_tree
@@ -343,45 +339,3 @@ def test_branch_shift_preserves_degrees_everywhere():
                         except NotApplicable:
                             continue
                         assert shifted.degrees() == t.degrees()
-
-
-# ---------------------------------------------------------------------------
-# Segment reversal
-# ---------------------------------------------------------------------------
-
-
-def test_reverse_segment_basics():
-    assert reverse_segment(Caterpillar((2, 0, 1)), 2, 1).y == (1, 0, 2)
-    assert reverse_segment(Caterpillar((1, 0, 1)), 2, 1).y == (1, 0, 1)  # palindrome
-    assert reverse_segment(Caterpillar((3, 1, 2, 0)), 2, 1).y == (2, 1, 3, 0)
-    assert reverse_segment(Caterpillar((3, 1, 2, 0)), 3, 1).y == (3, 0, 2, 1)
-    with pytest.raises(IndexOutOfRange):
-        reverse_segment(Caterpillar((2, 0, 1)), 1, 1)
-    with pytest.raises(IndexOutOfRange):
-        reverse_segment(Caterpillar((2, 0, 1)), 2, 2)
-
-
-def test_reverse_segment_decreases_under_hypotheses():
-    # Whenever the symmetric component inequalities hold around a pivot with
-    # a strictly heavier left tail, reversing the segment must strictly
-    # lower the subtree count.
-    held = 0
-    for k in range(3, 6):
-        for y in itertools.product(range(3), repeat=k):
-            cat = Caterpillar(y)
-            rows = component_counts(cat)
-            phi = count_subtrees(cat.build())
-            for p in range(2, k):
-                for q in range(1, min(k - p, p - 1) + 1):
-                    diffs = [rows[p - i][0] - rows[p + i][0] for i in range(1, q + 1)]
-                    hypotheses = (
-                        all(d >= 0 for d in diffs)
-                        and any(d > 0 for d in diffs)
-                        and rows[p - q - 1][1] > rows[p + q + 1][2]
-                    )
-                    if not hypotheses:
-                        continue
-                    held += 1
-                    flipped = reverse_segment(cat, p, q)
-                    assert count_subtrees(flipped.build()) < phi
-    assert held > 100  # the sweep actually exercised the hypothesis

@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 
 from treextremal.errors import LabelOutOfRange, LengthMismatch
-from treextremal.prufer import prufer_decode, prufer_encode
-from treextremal.trees import Tree
+from treextremal.prufer import prufer_decode
 
 
 def test_decode_reference_cases():
@@ -15,12 +14,6 @@ def test_decode_reference_cases():
     assert star.edges == ((0, 1), (1, 2), (1, 3), (1, 4))
     # [0, 1] on four vertices is the path 2-0-1-3.
     assert prufer_decode([0, 1], 4).edges == ((0, 1), (0, 2), (1, 3))
-
-
-def test_encode_reference_cases():
-    assert prufer_encode(Tree(2, [(0, 1)])) == []
-    assert prufer_encode(Tree(5, [(0, 1), (1, 2), (1, 3), (1, 4)])) == [1, 1, 1]
-    assert prufer_encode(Tree(4, [(0, 1), (0, 2), (1, 3)])) == [0, 1]
 
 
 def test_decode_errors():
@@ -35,17 +28,11 @@ def test_decode_errors():
 
 
 def test_round_trip_exhaustive_small():
+    # Decoding is a bijection: the n^(n-2) words give n^(n-2) distinct trees.
     for n in range(2, 8):
-        for seq in product(range(n), repeat=n - 2):
-            assert tuple(prufer_encode(prufer_decode(list(seq), n))) == seq
-
-
-def test_round_trip_random_large():
-    rng = random.Random(20240817)
-    for _ in range(10_000):
-        n = rng.randint(2, 50)
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        assert prufer_encode(prufer_decode(seq, n)) == seq
+        words = product(range(n), repeat=n - 2)
+        edge_sets = {prufer_decode(list(seq), n).edges for seq in words}
+        assert len(edge_sets) == n ** (n - 2)
 
 
 def test_decode_degree_multiset():

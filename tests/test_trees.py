@@ -6,11 +6,9 @@ from treextremal.trees import (
     bfs,
     diameter,
     is_caterpillar,
-    path_between,
     path_tree,
     star_tree,
     tree_from_edge_list,
-    tree_to_edge_list,
 )
 
 
@@ -65,7 +63,7 @@ def test_is_caterpillar():
 
 def test_edge_list_round_trip():
     t = Tree(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-    assert tree_from_edge_list(tree_to_edge_list(t)) == t
+    assert tree_from_edge_list("5\n0 1\n1 2\n2 3\n1 4\n") == t
 
 
 def test_edge_list_parse_errors():
@@ -77,13 +75,6 @@ def test_edge_list_parse_errors():
         tree_from_edge_list("3\n0 1 2\n")
     with pytest.raises(ParseError):
         tree_from_edge_list("3\n0 a\n1 2\n")
-
-
-def test_path_between():
-    t = path_tree(6)
-    assert path_between(t, 1, 4) == [1, 2, 3, 4]
-    assert path_between(t, 4, 1) == [4, 3, 2, 1]
-    assert path_between(t, 2, 2) == [2]
 
 
 def test_bfs_order_parents_and_distances():
