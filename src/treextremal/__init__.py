@@ -16,7 +16,6 @@ budgets; all verification sweeps are deterministic.
 """
 
 from .caterpillars import (
-    Caterpillar,
     caterpillar_build,
     caterpillar_canonical,
     caterpillar_from_tree,
@@ -75,7 +74,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Caterpillar",
     "DegreeSequence",
     "DEFAULT_BUDGET",
     "EnumerationBudget",

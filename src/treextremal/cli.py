@@ -104,7 +104,7 @@ def _optimizer_payload(report) -> list[dict]:
 
 
 def cmd_count(args) -> int:
-    if args.caterpillar:
+    if args.caterpillar is not None:
         t = caterpillar_build(_parse_y_vector(args.caterpillar))
         source = {"caterpillar": args.caterpillar}
     else:
@@ -147,23 +147,23 @@ def cmd_enumerate(args) -> int:
     budget = _budget(args)
     rows = []
     if args.caterpillars_only:
-        for cat in enumerate_caterpillars(ds, budget):
-            t = cat.build()
+        for y in enumerate_caterpillars(ds, budget):
+            t = caterpillar_build(y)
             rows.append(
                 {
                     "canonical_code": canonical_form(t),
-                    "y_vector": list(cat.y),
+                    "y_vector": list(y),
                     "phi": str(count_subtrees(t)),
                     "wiener": str(wiener_index(t)),
                 }
             )
     else:
         for t in enumerate_trees(ds, budget):
-            cat = caterpillar_from_tree(t)
+            y = caterpillar_from_tree(t)
             rows.append(
                 {
                     "canonical_code": canonical_form(t),
-                    "y_vector": list(cat.y) if cat is not None else None,
+                    "y_vector": list(y) if y is not None else None,
                     "phi": str(count_subtrees(t)),
                     "wiener": str(wiener_index(t)),
                 }

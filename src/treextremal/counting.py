@@ -16,7 +16,6 @@ O(k), with no Tree; the caterpillar search scores every arrangement with
 it and recounts each winner with count_subtrees.
 """
 
-from .caterpillars import Caterpillar
 from .errors import EmptySpine, IndexOutOfRange, TooLarge
 from .trees import Tree, bfs
 
@@ -88,9 +87,9 @@ def count_all_containing(t: Tree) -> list[int]:
 
 
 def component_counts(
-    c: Caterpillar, j: int | None = None
+    y, j: int | None = None
 ) -> list[tuple[int, int, int]] | tuple[int, int, int]:
-    """Containment counts of v_j in its three standard spine components.
+    """Containment counts of v_j in its three standard spine components of C(y).
 
     Row j is (f_j, f_le, f_ge) where the components arise from C(y) by
     deleting, respectively, both spine edges at v_j, the right spine edge
@@ -103,8 +102,9 @@ def component_counts(
     Rows are indexed j = 0..k+1; the boundary rows are fixed to (1, 1, 1)
     since they are single-vertex components. Pass j to get one row.
     """
-    k = c.k
-    own = [1] + [2**v for v in c.y] + [1]
+    y = _pendants(y)
+    k = len(y)
+    own = [1] + [2**v for v in y] + [1]
     le = [1] * (k + 2)
     for i in range(1, k + 1):
         le[i] = own[i] * (1 + le[i - 1])
@@ -117,6 +117,13 @@ def component_counts(
     if not (0 <= j <= k + 1):
         raise IndexOutOfRange(f"row index {j} outside 0..{k + 1}")
     return rows[j]
+
+
+def _pendants(y) -> tuple[int, ...]:
+    y = tuple(y)
+    if not y or min(y) < 0:
+        raise EmptySpine(f"pendant counts must be a nonempty vector of values >= 0: {y}")
+    return y
 
 
 def caterpillar_phi(y) -> int:
@@ -132,9 +139,7 @@ def caterpillar_phi(y) -> int:
 
         phi = (n - k) + S_1 + ... + S_k + S_k
     """
-    y = tuple(y)
-    if not y or min(y) < 0:
-        raise EmptySpine(f"pendant counts must be a nonempty vector of values >= 0: {y}")
+    y = _pendants(y)
     s = 1
     total = 0
     for v in y:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .caterpillars import Caterpillar
 from .degrees import DegreeSequence
 from .errors import BudgetExceeded, NoInternalVertices
 from .trees import Tree, star_tree
@@ -196,8 +195,9 @@ def enumerate_trees(
 
 def enumerate_caterpillars(
     ds: DegreeSequence, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> Iterator[Caterpillar]:
-    """All caterpillars realizing ds, one per isomorphism class.
+) -> Iterator[tuple[int, ...]]:
+    """All caterpillars realizing ds, one canonical pendant vector per
+    isomorphism class.
 
     These are the distinct multiset permutations of (d_1 - 2, ..., d_k - 2)
     modulo reversal. Permutations come in increasing lexicographic order, so
@@ -218,7 +218,7 @@ def enumerate_caterpillars(
     for perm in lexicographic_multiset_permutations(pendants):
         mirror = perm[::-1]
         if perm <= mirror:
-            yield Caterpillar(mirror)
+            yield mirror
 
 
 def count_caterpillar_arrangements(ds: DegreeSequence) -> int:

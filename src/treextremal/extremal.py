@@ -80,8 +80,7 @@ class ExtremalReport:
 
 
 def _make_optimizer(t: Tree) -> Optimizer:
-    cat = caterpillar_from_tree(t)
-    return Optimizer(t, canonical_form(t), cat.y if cat is not None else None)
+    return Optimizer(t, canonical_form(t), caterpillar_from_tree(t))
 
 
 def closed_form_phi(ds: DegreeSequence) -> tuple[int, tuple[int, ...]]:
@@ -187,19 +186,19 @@ def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
     """Exhaustive caterpillar search: (optimum, winners, trees, examined).
 
     Every arrangement is scored by caterpillar_phi; winners are the optimal
-    Caterpillars in enumeration order and trees their built C(y), each
-    recounted by count_subtrees, which must agree.
+    canonical pendant vectors in enumeration order and trees their built
+    C(y), each recounted by count_subtrees, which must agree.
     """
     best, winners, examined = extremes(
-        enumerate_caterpillars(ds, budget), lambda cat: caterpillar_phi(cat.y), maximize
+        enumerate_caterpillars(ds, budget), caterpillar_phi, maximize
     )
     trees = []
-    for cat in winners:
-        t = caterpillar_build(cat.y)
+    for y in winners:
+        t = caterpillar_build(y)
         recount = count_subtrees(t)
         if recount != best:
             raise InternalInconsistency(
-                f"caterpillar_phi gives {best} for C{cat.y}, count_subtrees {recount}"
+                f"caterpillar_phi gives {best} for C{y}, count_subtrees {recount}"
             )
         trees.append(t)
     return best, winners, trees, examined
@@ -223,7 +222,7 @@ def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[tuple[int, ..
     if k == 5:
         _, vectors = predict_min_k5(ds)
         ys = sorted(vectors)
-        values = {count_subtrees(caterpillar_build(y)) for y in ys}
+        values = {caterpillar_phi(y) for y in ys}
         if len(values) != 1:
             raise InternalInconsistency(
                 f"tied minimizer candidates disagree for {ds}: {sorted(values)}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .canonical import canonical_form
-from .caterpillars import Caterpillar, caterpillar_canonical
+from .caterpillars import caterpillar_canonical
 from .counting import count_subtrees, wiener_index
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -48,19 +48,7 @@ PASS = "pass"
 FAIL = "fail"
 REPORT_ONLY = "report-only"
 
-# The claim ids, each with the default cap on n of its universe.
-_DEFAULT_MAX_N = {
-    "thm-2.1": 9,
-    "thm-3.5": 13,
-    "thm-3.6-shape": 13,
-    "thm-4.1": 12,
-    "thm-4.2": 13,
-    "eq-2.1-monotonic": 9,
-    "wiener-correspondence": 9,
-}
 _DEFAULT_MAX_K = 6  # the shape claims' cap on k
-
-CLAIM_IDS = tuple(_DEFAULT_MAX_N)
 
 
 @dataclass
@@ -156,10 +144,10 @@ def _mountain_ok(z: tuple[int, ...]) -> bool:
     return False
 
 
-def _orientations(cat: Caterpillar) -> list[tuple[int, ...]]:
-    """The pendant vectors with first entry >= last (one, or two on ties)."""
-    y = caterpillar_canonical(cat.y)
-    flipped = tuple(reversed(y))
+def _orientations(y: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orientations of canonical y with first entry >= last (one, or two
+    on ties)."""
+    flipped = y[::-1]
     if y[0] == y[-1] and flipped != y:
         return [y, flipped]
     return [y]
@@ -176,8 +164,8 @@ def verify_valley_shape(
         instances += 1
         floor = ds.degrees[ds.k - 1] - 2
         _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
-        for cat in winners:
-            for z in _orientations(cat):
+        for y in winners:
+            for z in _orientations(y):
                 if not _valley_ok(z, floor):
                     failures.append(
                         {
@@ -208,8 +196,8 @@ def verify_mountain_shape(
     for ds in _sequences(max_n, min_k=3, max_k=max_k):
         instances += 1
         _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=True)
-        for cat in winners:
-            for z in _orientations(cat):
+        for y in winners:
+            for z in _orientations(y):
                 if not _mountain_ok(z):
                     failures.append(
                         {
@@ -235,7 +223,7 @@ def verify_closed_forms(
         instances += 1
         value, stated = closed_form_phi(ds)
         best, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
-        observed = sorted(cat.y for cat in winners)
+        observed = sorted(winners)
         expected = [caterpillar_canonical(stated)]
         if value != best or observed != expected:
             failures.append(
@@ -265,7 +253,7 @@ def verify_trichotomy(
         instances += 1
         case, predicted = predict_min_k5(ds)
         _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
-        observed = {cat.y for cat in winners}
+        observed = set(winners)
         if observed != predicted:
             failures.append(
                 {
@@ -397,24 +385,33 @@ def explore_wiener_correspondence(
     )
 
 
+# Each claim id with its checker and the default cap on n of its universe.
+_CLAIMS = {
+    "thm-2.1": (verify_caterpillar_minimality, 9),
+    "thm-3.5": (verify_valley_shape, 13),
+    "thm-3.6-shape": (verify_mountain_shape, 13),
+    "thm-4.1": (verify_closed_forms, 12),
+    "thm-4.2": (verify_trichotomy, 13),
+    "eq-2.1-monotonic": (verify_transformation_monotonicity, 9),
+    "wiener-correspondence": (explore_wiener_correspondence, 9),
+}
+_TAKES_MAX_K = ("thm-3.5", "thm-3.6-shape")  # the shape claims also cap k
+
+CLAIM_IDS = tuple(_CLAIMS)
+
+
 def run_claim(claim: str, max_n: int | None = None, max_k: int | None = None,
               budget: EnumerationBudget = DEFAULT_BUDGET) -> VerificationReport:
     """Dispatch a claim id. A cap left as None takes the claim's default; any
-    given cap, 0 included, bounds the universe as given."""
-    if claim not in _DEFAULT_MAX_N:
+    given cap, 0 included, bounds the universe as given. A negative cap is
+    an input error, not an empty universe."""
+    if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    n = _DEFAULT_MAX_N[claim] if max_n is None else max_n
-    k = _DEFAULT_MAX_K if max_k is None else max_k
-    if claim == "thm-2.1":
-        return verify_caterpillar_minimality(n, budget)
-    if claim == "thm-3.5":
-        return verify_valley_shape(n, k, budget)
-    if claim == "thm-3.6-shape":
-        return verify_mountain_shape(n, k, budget)
-    if claim == "thm-4.1":
-        return verify_closed_forms(n, budget)
-    if claim == "thm-4.2":
-        return verify_trichotomy(n, budget)
-    if claim == "eq-2.1-monotonic":
-        return verify_transformation_monotonicity(n, budget)
-    return explore_wiener_correspondence(n, budget)
+    for name, cap in (("max_n", max_n), ("max_k", max_k)):
+        if cap is not None and cap < 0:
+            raise ValueError(f"{name} must be >= 0, got {cap}")
+    check, default_n = _CLAIMS[claim]
+    n = default_n if max_n is None else max_n
+    if claim in _TAKES_MAX_K:
+        return check(n, _DEFAULT_MAX_K if max_k is None else max_k, budget)
+    return check(n, budget)

@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from treextremal.caterpillars import (
-    Caterpillar,
     caterpillar_build,
     caterpillar_canonical,
     caterpillar_from_tree,
 )
+from treextremal.canonical import canonical_form
+from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import EmptySpine
 from treextremal.trees import diameter, is_caterpillar, path_tree, star_tree
 
@@ -27,8 +28,6 @@ def test_build_rejects_bad_vectors():
         caterpillar_build(())
     with pytest.raises(EmptySpine):
         caterpillar_build((1, -1))
-    with pytest.raises(EmptySpine):
-        Caterpillar(())
 
 
 def test_canonical_orientation():
@@ -48,9 +47,7 @@ def test_build_round_trip_properties():
             assert is_caterpillar(t)
             assert len(t.leaves()) == sum(y) + 2
             assert diameter(t) == k + 1
-            recovered = caterpillar_from_tree(t)
-            assert recovered is not None
-            assert recovered.y == caterpillar_canonical(y)
+            assert caterpillar_from_tree(t) == caterpillar_canonical(y)
 
 
 def test_from_tree_edge_cases():
@@ -60,12 +57,26 @@ def test_from_tree_edge_cases():
     assert caterpillar_from_tree(Tree(1, [])) is None
     spider = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     assert caterpillar_from_tree(spider) is None
-    assert caterpillar_from_tree(path_tree(5)).y == (0, 0, 0)
-    assert caterpillar_from_tree(star_tree(6)).y == (3,)
+    assert caterpillar_from_tree(path_tree(5)) == (0, 0, 0)
+    assert caterpillar_from_tree(star_tree(6)) == (3,)
+
+
+def test_from_tree_on_every_free_tree_up_to_12():
+    trees = 0
+    for n in range(1, 13):
+        for ds in enumerate_degree_sequences(n):
+            for t in enumerate_trees(ds):
+                trees += 1
+                y = caterpillar_from_tree(t)
+                if t.n <= 2 or not is_caterpillar(t):
+                    assert y is None
+                else:
+                    assert y == caterpillar_canonical(y)
+                    assert canonical_form(caterpillar_build(y)) == canonical_form(t)
+    assert trees == 987  # OEIS A000055, n = 1..12
 
 
 def test_degree_sequence_of_caterpillar():
-    c = Caterpillar((6, 0, 1, 1, 1))
-    ds = c.degree_sequence()
-    assert ds.degrees == (8, 3, 3, 3, 2) + (1,) * 11
-    assert c.n == ds.n == 16
+    t = caterpillar_build((6, 0, 1, 1, 1))
+    assert t.degrees() == (8, 3, 3, 3, 2) + (1,) * 11
+    assert t.n == 16

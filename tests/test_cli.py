@@ -50,6 +50,13 @@ def test_count_missing_file(run, tmp_path):
     assert code == 2
 
 
+def test_count_empty_caterpillar_is_an_input_error(run):
+    code, out, err = run("count", "--caterpillar", "")
+    assert code == 2
+    assert out == ""
+    assert "malformed pendant vector" in err and "Traceback" not in err
+
+
 def test_extremal_min_reference(run):
     code, out, _ = run("extremal", "--degseq", "8,3,3,3,2,1*11", "--objective", "min")
     assert code == 0
@@ -217,6 +224,14 @@ def test_verify_zero_cap_is_an_empty_universe(run):
         results = json.loads(out)["results"]
         assert results["universe"][cap[0]] == cap[1]
         assert results["instances_checked"] == 0
+
+
+def test_verify_negative_cap_is_an_input_error(run):
+    for argv in (("thm-2.1", "--max-n", "-5"), ("thm-3.5", "--max-k", "-2")):
+        code, out, err = run("verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 0" in err
 
 
 def test_verify_unknown_claim(run):

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from treextremal.caterpillars import Caterpillar, caterpillar_build
+from treextremal.caterpillars import caterpillar_build
 from treextremal.counting import (
     brute_force_count,
     caterpillar_phi,
@@ -141,12 +141,12 @@ def test_containing_set_matches_oracle():
 
 
 def test_component_count_rows():
-    rows = component_counts(Caterpillar((1, 0, 0)))
+    rows = component_counts((1, 0, 0))
     assert rows == [(1, 1, 1), (2, 4, 8), (1, 5, 3), (1, 6, 2), (1, 1, 1)]
-    assert component_counts(Caterpillar((1, 0, 0)), 0) == (1, 1, 1)
-    assert component_counts(Caterpillar((1, 0, 0)), 1) == (2, 4, 8)
+    assert component_counts((1, 0, 0), 0) == (1, 1, 1)
+    assert component_counts((1, 0, 0), 1) == (2, 4, 8)
     with pytest.raises(IndexOutOfRange):
-        component_counts(Caterpillar((1, 0, 0)), 5)
+        component_counts((1, 0, 0), 5)
 
 
 def test_caterpillar_phi_on_every_class_up_to_14():
@@ -157,12 +157,12 @@ def test_caterpillar_phi_on_every_class_up_to_14():
         for ds in enumerate_degree_sequences(n):
             if ds.k == 0:
                 continue
-            for cat in enumerate_caterpillars(ds):
+            for y in enumerate_caterpillars(ds):
                 classes += 1
-                t = caterpillar_build(cat.y)
-                phi = caterpillar_phi(cat.y)
-                assert phi == caterpillar_phi(cat.y[::-1])
-                assert phi == count_subtrees(t) == brute_force_count(t), cat.y
+                t = caterpillar_build(y)
+                phi = caterpillar_phi(y)
+                assert phi == caterpillar_phi(y[::-1])
+                assert phi == count_subtrees(t) == brute_force_count(t), y
     assert classes == 2142
 
 
@@ -178,10 +178,11 @@ def test_caterpillar_phi_is_the_f_le_sum():
     # vertices ending at v_j, plus those at v_k that also take v_{k+1}.
     rng = random.Random(7)
     for _ in range(200):
-        cat = Caterpillar(tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 8))))
-        rows = component_counts(cat)
-        f_le = [rows[j][1] for j in range(1, cat.k + 1)]
-        assert caterpillar_phi(cat.y) == cat.n - cat.k + sum(f_le) + f_le[-1]
+        y = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 8)))
+        k, n = len(y), len(y) + 2 + sum(y)
+        rows = component_counts(y)
+        f_le = [rows[j][1] for j in range(1, k + 1)]
+        assert caterpillar_phi(y) == n - k + sum(f_le) + f_le[-1]
 
 
 def test_caterpillar_phi_golden_values_and_rejections():
@@ -199,10 +200,9 @@ def test_component_counts_match_direct_computation():
     # Check every row against counts on the explicitly materialized
     # components, for a spread of caterpillars.
     for y in [(1, 0, 0), (2, 1, 0), (0, 3), (2,), (1, 2, 0, 1), (0, 0, 0, 0)]:
-        cat = Caterpillar(y)
-        t = cat.build()
-        k = cat.k
-        rows = component_counts(cat)
+        t = caterpillar_build(y)
+        k = len(y)
+        rows = component_counts(y)
         for j in range(1, k + 1):
             assert rows[j][0] == 2 ** y[j - 1]
             # left component: drop the spine edge (j, j+1)

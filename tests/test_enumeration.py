@@ -3,6 +3,7 @@ import math
 import pytest
 
 from treextremal.canonical import canonical_form
+from treextremal.caterpillars import caterpillar_build
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
 from treextremal.enumeration import (
     EnumerationBudget,
@@ -151,7 +152,7 @@ def test_labeled_count_equals_word_count():
 
 def test_caterpillar_enumeration():
     cats = list(enumerate_caterpillars(DegreeSequence((3, 2, 2, 1, 1, 1))))
-    assert [c.y for c in cats] == [(1, 0, 0), (0, 1, 0)]
+    assert cats == [(1, 0, 0), (0, 1, 0)]
     # k = 2 always gives exactly one class (mirror pair)
     for d1, d2 in [(3, 2), (5, 5), (4, 2)]:
         n = d1 + d2
@@ -180,7 +181,7 @@ def test_caterpillar_order_matches_seen_set_reference():
         for ds in enumerate_degree_sequences(n):
             if ds.k == 0:
                 continue
-            assert [c.y for c in enumerate_caterpillars(ds)] == _seen_set_caterpillars(ds)
+            assert list(enumerate_caterpillars(ds)) == _seen_set_caterpillars(ds)
 
 
 def test_caterpillar_search_examines_each_class_once():
@@ -203,7 +204,7 @@ def test_caterpillars_match_filtered_tree_enumeration():
             if ds.k == 0:
                 continue
             cat_codes = sorted(
-                canonical_form(c.build()) for c in enumerate_caterpillars(ds)
+                canonical_form(caterpillar_build(y)) for y in enumerate_caterpillars(ds)
             )
             tree_codes = sorted(
                 canonical_form(t) for t in enumerate_trees(ds) if is_caterpillar(t)

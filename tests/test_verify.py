@@ -137,3 +137,9 @@ def test_run_claim_dispatch():
         assert report.claim == claim
     with pytest.raises(ValueError):
         run_claim("thm-9.9")
+
+
+def test_run_claim_rejects_negative_caps():
+    for claim, kwargs in (("thm-2.1", {"max_n": -5}), ("thm-3.5", {"max_k": -2})):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_claim(claim, **kwargs)
