@@ -35,6 +35,7 @@ from .enumeration import (
     EnumerationBudget,
     count_caterpillar_arrangements,
     count_free_trees,
+    enumerate_all_trees,
     enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
@@ -94,6 +95,7 @@ __all__ = [
     "count_all_containing",
     "count_caterpillar_arrangements",
     "count_free_trees",
+    "enumerate_all_trees",
     "count_subtrees",
     "count_subtrees_containing",
     "degree_sequence",

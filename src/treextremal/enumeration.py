@@ -1,4 +1,8 @@
-"""Exhaustive generation of trees and caterpillars for a degree sequence.
+"""Exhaustive generation of degree sequences, trees and caterpillars.
+
+Universes: the tree degree sequences of order n are the partitions of
+n - 2, each part plus one an internal degree, padded with leaves. They are
+generated by k window, so a sweep over k = 5 builds only k = 5 sequences.
 
 Trees come from the free-tree generator of Wright, Richmond, Odlyzko and
 McKay (*Constant time generation of free trees*, SIAM J. Comput. 15, 1986),
@@ -6,7 +10,10 @@ which lists every unlabeled tree on n vertices exactly once as a level
 sequence: the depths of the vertices in preorder from a root at a central
 vertex, with the root's subtrees in nonincreasing order. A realization of a degree
 sequence is a generated tree whose sorted degrees match, so no
-deduplication is needed and only matching trees are ever built.
+deduplication is needed and only matching trees are ever built. A query
+for one sequence filters one pass over the free trees on n; a sweep over
+every sequence of order n takes one pass for all of them
+(enumerate_all_trees), grouping the trees by their sorted degrees.
 Caterpillars are the multiset permutations of the pendant vector, each
 mirror class kept at the permutation that is no greater than its reverse,
 so no seen-set is needed either; they are yielded as pendant vectors, not
@@ -149,6 +156,47 @@ def free_level_sequences(n: int) -> Iterator[list[int]]:
             levels[n - height - 1 :] = range(1, height + 2)
 
 
+def _check_full_budget(n: int, budget: EnumerationBudget, generating: bool = True) -> None:
+    """Refuse a full enumeration on n vertices: always by the order cap,
+    and by the predicted free-tree count when the trees are generated."""
+    if n > budget.max_n:
+        raise BudgetExceeded(f"n={n} exceeds full-enumeration cap {budget.max_n}", n)
+    if not generating:
+        return
+    predicted = count_free_trees(n)
+    if predicted > budget.max_labeled:
+        raise BudgetExceeded(
+            f"predicted {predicted} free trees on {n} vertices exceeds "
+            f"budget {budget.max_labeled}",
+            predicted,
+        )
+
+
+def _free_trees(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(parent, degree) of every free tree on n >= 1 vertices, in generation
+    order, with vertices in level-sequence preorder and parent[0] = 0. The
+    parent list is reused: copy it to keep it past the next step."""
+    if n == 1:
+        yield [0], [0]
+        return
+    # The parent of vertex i is the last earlier vertex one level up.
+    last = [0] * n
+    parent = [0] * n
+    for levels in free_level_sequences(n):
+        degree = [0] + [1] * (n - 1)  # each vertex but the root has its parent
+        for i in range(1, n):
+            depth = levels[i]
+            last[depth] = i
+            p = last[depth - 1]
+            parent[i] = p
+            degree[p] += 1
+        yield parent, degree
+
+
+def _tree(parent) -> Tree:
+    return Tree(len(parent), [(parent[i], i) for i in range(1, len(parent))])
+
+
 def enumerate_trees(
     ds: DegreeSequence, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Iterator[Tree]:
@@ -156,41 +204,42 @@ def enumerate_trees(
 
     Output order is the generator's order over free trees on ds.n vertices,
     with vertices labeled in level-sequence preorder from the root, so
-    repeated runs are byte-identical.
+    repeated runs are byte-identical. A star is its sequence's only tree and
+    is built without generating the rest.
     """
-    if ds.n > budget.max_n:
-        raise BudgetExceeded(
-            f"n={ds.n} exceeds full-enumeration cap {budget.max_n}", ds.n
-        )
-    if ds.n == 1:
-        yield Tree(1, [])
-        return
+    _check_full_budget(ds.n, budget, generating=ds.k != 1)
     if ds.k == 1:
         yield star_tree(ds.n)
         return
-    predicted = count_free_trees(ds.n)
-    if predicted > budget.max_labeled:
-        raise BudgetExceeded(
-            f"predicted {predicted} free trees on {ds.n} vertices exceeds "
-            f"budget {budget.max_labeled}",
-            predicted,
-        )
-    n = ds.n
     target = list(ds.degrees)
-    # The parent of vertex i is the last earlier vertex one level up.
-    last = [0] * n
-    parent = [0] * n
-    for levels in free_level_sequences(n):
-        degree = [0] * n
-        for i in range(1, n):
-            depth = levels[i]
-            last[depth] = i
-            p = last[depth - 1]
-            parent[i] = p
-            degree[i] += 1
-            degree[p] += 1
+    for parent, degree in _free_trees(ds.n):
         if sorted(degree, reverse=True) == target:
-            yield Tree(n, [(parent[i], i) for i in range(1, n)])
+            yield _tree(parent)
+
+
+def enumerate_all_trees(
+    n: int, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> Iterator[tuple[DegreeSequence, list[Tree]]]:
+    """(ds, list(enumerate_trees(ds))) for every degree sequence of order
+    n, in enumerate_degree_sequences(n) order, from one pass over the free
+    trees on n.
+
+    The budget is checked when this is called, before any generation, so
+    a sweep can refuse every order up front. The pass keeps each tree as
+    its parent tuple, grouped by sorted degrees, and builds the Trees of
+    one sequence at a time.
+    """
+    _check_full_budget(n, budget)
+    return _all_trees(n)
+
+
+def _all_trees(n: int) -> Iterator[tuple[DegreeSequence, list[Tree]]]:
+    by_degrees: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for parent, degree in _free_trees(n):
+        key = tuple(sorted(degree, reverse=True))
+        by_degrees.setdefault(key, []).append(tuple(parent))
+    for ds in enumerate_degree_sequences(n):
+        yield ds, [_tree(parent) for parent in by_degrees.pop(ds.degrees)]
 
 
 def enumerate_caterpillars(
@@ -233,35 +282,44 @@ def count_caterpillar_arrangements(ds: DegreeSequence) -> int:
     return total
 
 
-def enumerate_degree_sequences(n: int) -> Iterator[DegreeSequence]:
-    """All tree degree sequences of order n, lexicographically decreasing.
+def enumerate_degree_sequences(
+    n: int, min_k: int = 0, max_k: int | None = None
+) -> Iterator[DegreeSequence]:
+    """The tree degree sequences of order n with min_k <= k <= max_k (no
+    upper bound when max_k is None), lexicographically decreasing.
 
-    These are the partitions of 2(n - 1) into exactly n parts >= 1 (each part
-    at most n - 1), emitted largest-first.
+    A tree sequence is its k internal degrees d_1 >= ... >= d_k >= 2 padded
+    with 1s, and the d_i - 1 form a partition of n - 2 into k parts. So the
+    partitions of n - 2 into min_k to max_k parts are walked largest part
+    first, each part bounded so that the window can still be met; the
+    recursion depth is at most k and only yielded sequences are built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
-        yield DegreeSequence((0,))
+        if min_k <= 0 and (max_k is None or max_k >= 0):
+            yield DegreeSequence((0,))
         return
-    if n == 2:
-        yield DegreeSequence((1, 1))
+    # A partition of n - 2 has 1 to n - 2 parts, or none when n = 2.
+    min_k = max(min_k, min(1, n - 2))
+    max_k = n - 2 if max_k is None else min(max_k, n - 2)
+    if min_k > max_k:
         return
+    internal: list[int] = []
 
-    target = 2 * (n - 1)
-
-    def parts(remaining: int, slots: int, cap: int, prefix: list[int]):
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
+    def parts(remaining: int, cap: int):
+        if remaining == 0 or cap == 1:
+            # Parts of 1 are all that is left: one degree 2 per unit.
+            degrees = tuple(internal) + (2,) * remaining
+            yield DegreeSequence(degrees + (1,) * (n - len(degrees)))
             return
-        # Each of the remaining slots takes at least 1.
-        lo = max(1, remaining - (slots - 1) * cap)
-        hi = min(cap, remaining - (slots - 1))
-        for d in range(hi, lo - 1, -1):
-            prefix.append(d)
-            yield from parts(remaining - d, slots - 1, d, prefix)
-            prefix.pop()
+        # The part p leaves remaining - p to at most max_k - len - 1 parts
+        # no larger than p, and to at least min_k - len - 1 parts.
+        lo = -(-remaining // (max_k - len(internal)))
+        hi = min(cap, remaining - max(0, min_k - len(internal) - 1))
+        for p in range(hi, lo - 1, -1):
+            internal.append(p + 1)
+            yield from parts(remaining - p, p)
+            internal.pop()
 
-    for degrees in parts(target, n, n - 1, []):
-        yield DegreeSequence(degrees)
+    yield from parts(n - 2, n - 2)

@@ -6,6 +6,13 @@ counterexamples. Reports are deterministic: sweeps iterate sequences in a
 fixed order and failure lists carry the degree sequence plus witness
 canonical codes, enough to replay a single instance.
 
+A sweep generates only what it checks: the caterpillar claims ask for the
+sequences in their k window, and the claims over all trees (thm-2.1,
+eq-2.1-monotonic, wiener-correspondence) take each order's free trees from
+one generation pass. Those three check the budget for every order up to
+max_n before generating anything, so an over-budget sweep is refused at
+once.
+
 Claim identifiers (the CLI contract):
 
   thm-2.1             every subtree-count minimizer is a caterpillar
@@ -21,6 +28,7 @@ Claim identifiers (the CLI contract):
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 from .canonical import canonical_form
@@ -29,8 +37,8 @@ from .counting import count_subtrees, wiener_index
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
+    enumerate_all_trees,
     enumerate_degree_sequences,
-    enumerate_trees,
 )
 from .extremal import (
     _caterpillar_extremes,
@@ -80,14 +88,16 @@ def _finish(claim, universe, instances, failures, findings=None, report_only=Fal
     )
 
 
-def _sequences(max_n: int, min_k: int = 0, max_k: int | None = None):
+def _sequences(max_n: int, min_k: int, max_k: int):
     for n in range(2, max_n + 1):
-        for ds in enumerate_degree_sequences(n):
-            if ds.k < min_k:
-                continue
-            if max_k is not None and ds.k > max_k:
-                continue
-            yield ds
+        yield from enumerate_degree_sequences(n, min_k, max_k)
+
+
+def _realizations(max_n: int, budget: EnumerationBudget):
+    """(ds, trees) for every sequence with 2 <= n <= max_n, one generation
+    pass per n. Every order is checked against the budget here, before any
+    tree is generated."""
+    return chain.from_iterable([enumerate_all_trees(n, budget) for n in range(2, max_n + 1)])
 
 
 def verify_caterpillar_minimality(
@@ -96,9 +106,9 @@ def verify_caterpillar_minimality(
     """Every minimizer over all realizations must be a caterpillar."""
     failures = []
     instances = 0
-    for ds in _sequences(max_n):
+    for ds, trees in _realizations(max_n, budget):
         instances += 1
-        _, winners, _ = extremes(enumerate_trees(ds, budget), count_subtrees)
+        _, winners, _ = extremes(trees, count_subtrees)
         bad = [t for t in winners if not is_caterpillar(t)]
         if bad:
             failures.append(
@@ -282,8 +292,8 @@ def verify_transformation_monotonicity(
     trees_seen = 0
     applicable = 0
     decreased = 0
-    for ds in _sequences(max_n):
-        for t in enumerate_trees(ds, budget):
+    for ds, trees in _realizations(max_n, budget):
+        for t in trees:
             if is_caterpillar(t):
                 continue
             trees_seen += 1
@@ -339,12 +349,9 @@ def explore_wiener_correspondence(
     agree_max = agree_min = 0
     disagreements = []
     instances = 0
-    for ds in _sequences(max_n):
+    for ds, trees in _realizations(max_n, budget):
         instances += 1
-        scored = [
-            (canonical_form(t), count_subtrees(t), wiener_index(t))
-            for t in enumerate_trees(ds, budget)
-        ]
+        scored = [(canonical_form(t), count_subtrees(t), wiener_index(t)) for t in trees]
         phi_max, phi_min = _optimal_codes(scored, 1, True), _optimal_codes(scored, 1, False)
         wie_min, wie_max = _optimal_codes(scored, 2, False), _optimal_codes(scored, 2, True)
         max_matches = phi_max == wie_min
@@ -403,10 +410,13 @@ CLAIM_IDS = tuple(_CLAIMS)
 def run_claim(claim: str, max_n: int | None = None, max_k: int | None = None,
               budget: EnumerationBudget = DEFAULT_BUDGET) -> VerificationReport:
     """Dispatch a claim id. A cap left as None takes the claim's default; any
-    given cap, 0 included, bounds the universe as given. A negative cap is
-    an input error, not an empty universe."""
+    given cap, 0 included, bounds the universe as given. A negative cap, or
+    a cap on k for a claim whose universe k does not bound, is an input
+    error."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
+    if max_k is not None and claim not in _TAKES_MAX_K:
+        raise ValueError(f"{claim} takes no max_k; only {', '.join(_TAKES_MAX_K)} do")
     for name, cap in (("max_n", max_n), ("max_k", max_k)):
         if cap is not None and cap < 0:
             raise ValueError(f"{name} must be >= 0, got {cap}")

@@ -234,6 +234,26 @@ def test_verify_negative_cap_is_an_input_error(run):
         assert "must be >= 0" in err
 
 
+def test_verify_max_k_without_a_k_cap_is_an_input_error(run):
+    code, out, err = run("verify", "thm-2.1", "--max-n", "4", "--max-k", "4")
+    assert code == 2
+    assert out == ""
+    assert "thm-2.1 takes no max_k" in err
+
+
+def test_verify_refuses_over_budget_before_any_work(run, monkeypatch):
+    from treextremal import enumeration
+
+    def no_generation(n):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "free_level_sequences", no_generation)
+    code, out, err = run("verify", "thm-2.1", "--max-n", "17")
+    assert code == 3
+    assert out == ""
+    assert "n=17 exceeds full-enumeration cap 16" in err
+
+
 def test_verify_unknown_claim(run):
     code, _, _ = run("verify", "unknown-claim")
     assert code == 2

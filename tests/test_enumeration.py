@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from treextremal import enumeration
 from treextremal.canonical import canonical_form
 from treextremal.caterpillars import caterpillar_build
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
@@ -9,6 +10,7 @@ from treextremal.enumeration import (
     EnumerationBudget,
     count_caterpillar_arrangements,
     count_free_trees,
+    enumerate_all_trees,
     enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
@@ -41,11 +43,33 @@ def test_degree_sequence_universes():
     assert [ds.degrees for ds in enumerate_degree_sequences(2)] == [(1, 1)]
 
 
+# Partitions of 0..38 (OEIS A000041): the tree sequences of order 2..40.
+PARTITION_COUNTS = [
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+    385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604,
+    6842, 8349, 10143, 12310, 14883, 17977, 21637, 26015,
+]
+
+
 def test_degree_sequence_counts_are_partition_numbers():
-    # Partitions of n - 2: p(0..7) = 1 1 2 3 5 7 11 15
-    expected = [1, 1, 2, 3, 5, 7, 11, 15]
-    for n, want in zip(range(2, 10), expected):
-        assert sum(1 for _ in enumerate_degree_sequences(n)) == want
+    for n, want in zip(range(2, 41), PARTITION_COUNTS):
+        degrees = [ds.degrees for ds in enumerate_degree_sequences(n)]
+        assert len(degrees) == want
+        assert degrees == sorted(set(degrees), reverse=True)
+
+
+def test_degree_sequence_k_windows_filter_the_full_list():
+    for n in range(1, 23):
+        full = [(ds, ds.k) for ds in enumerate_degree_sequences(n)]
+        for lo in range(n + 1):
+            for hi in [None, *range(lo - 1, n + 1)]:  # lo - 1: an empty window
+                window = list(enumerate_degree_sequences(n, lo, hi))
+                assert window == [
+                    ds for ds, k in full if lo <= k and (hi is None or k <= hi)
+                ], (n, lo, hi)
+    assert list(enumerate_degree_sequences(2, 1)) == []
+    assert list(enumerate_degree_sequences(1, 0, 0)) == [DegreeSequence((0,))]
+    assert list(enumerate_degree_sequences(9, 5, 5))[0].degrees == (4, 2, 2, 2, 2, 1, 1, 1, 1)
 
 
 def test_unlabeled_totals_match_known_counts():
@@ -120,6 +144,26 @@ def test_budget_refusal():
     # The 16-vertex path has 14! labeled words but only 19320 free trees
     # are generated for it, well inside the default budget.
     assert len(list(enumerate_trees(parse_degree_sequence("2*14,1,1")))) == 1
+
+
+def test_all_trees_match_per_sequence_enumeration():
+    for n in range(1, 13):
+        passes = list(enumerate_all_trees(n))
+        assert [ds for ds, _ in passes] == list(enumerate_degree_sequences(n))
+        for ds, trees in passes:
+            assert [t.edges for t in trees] == [t.edges for t in enumerate_trees(ds)]
+
+
+def test_all_trees_refuse_before_generating(monkeypatch):
+    def no_generation(n):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "free_level_sequences", no_generation)
+    with pytest.raises(BudgetExceeded, match="n=17 exceeds full-enumeration cap 16"):
+        enumerate_all_trees(17)
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_all_trees(6, EnumerationBudget(max_labeled=5))
+    assert err.value.predicted == count_free_trees(6)
 
 
 def test_caterpillar_budget_refusal():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from treextremal import enumeration
 from treextremal.enumeration import EnumerationBudget
 from treextremal.errors import BudgetExceeded
 from treextremal.verify import (
@@ -133,10 +135,82 @@ def test_caterpillar_claims_respect_budget():
 def test_run_claim_dispatch():
     for claim in CLAIM_IDS:
         # tiny universes so the full dispatch stays fast
-        report = run_claim(claim, max_n=6, max_k=4)
+        kwargs = {"max_k": 4} if claim in ("thm-3.5", "thm-3.6-shape") else {}
+        report = run_claim(claim, max_n=6, **kwargs)
         assert report.claim == claim
     with pytest.raises(ValueError):
         run_claim("thm-9.9")
+
+
+def test_run_claim_rejects_max_k_for_claims_without_a_k_cap():
+    for claim in ("thm-2.1", "thm-4.1", "thm-4.2", "eq-2.1-monotonic", "wiener-correspondence"):
+        with pytest.raises(ValueError, match="takes no max_k"):
+            run_claim(claim, 4, max_k=4)
+    assert run_claim("thm-3.5", 8, max_k=4).universe["max_k"] == 4
+
+
+def test_full_enumeration_claims_refuse_before_generating(monkeypatch):
+    def no_generation(n):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "free_level_sequences", no_generation)
+    with pytest.raises(BudgetExceeded, match="n=17 exceeds full-enumeration cap 16"):
+        run_claim("thm-2.1", 17)
+    with pytest.raises(
+        BudgetExceeded, match="predicted 551 free trees on 12 vertices exceeds budget 500"
+    ):
+        run_claim("wiener-correspondence", 12, budget=EnumerationBudget(max_labeled=500))
+    with pytest.raises(BudgetExceeded, match="predicted 6 free trees on 6 vertices"):
+        run_claim("eq-2.1-monotonic", 8, budget=EnumerationBudget(max_labeled=5))
+
+
+# sha256 of json.dumps(run_claim(claim, n).to_payload(), sort_keys=True) for
+# each claim at each cap of the benchmark's sweep ladders up to the claim's
+# default cap, and at the default itself.
+GOLDEN_PAYLOADS = {
+    "thm-2.1@4": "f059c15aac836f62baa976d42d244ad7ab92a06d68873761d7a986b38f075dc3",
+    "thm-2.1@5": "2dc7b3e10a0f9ec6a5a7442633b82cda86fd4c2278dce6213efb3afda0bc1055",
+    "thm-2.1@6": "020efa7a9781b595ec00e4bd694b04d613456c9a3f12b2318307be9c57671d37",
+    "thm-2.1@7": "f3548ed47c4647c9238207fed176b3e7ed5991f0a0525169a2b8fc3d7352bf2c",
+    "thm-2.1@8": "0413d44bd160519d590cdb377d1ee42d04f2c943ccf7c5023348d366ed93dfc7",
+    "thm-2.1@9": "631dafd61307057a4acfc92e77b32cf25e47fec47c2a1e8a411859435cdd4200",
+    "eq-2.1-monotonic@4": "e421e70fc870dee94fd2307879dfa24bf976f9a4b21f2d3d267de18cb6000218",
+    "eq-2.1-monotonic@5": "282bdbbb12e31ae001c57b4995d4ecee11b082e8b33eb42d20cd63aa8b78318f",
+    "eq-2.1-monotonic@6": "2a06acf42869555f5fb89973f62f60bda94b6de03c7c6c235c0faade6e132552",
+    "eq-2.1-monotonic@7": "abbd10ba3822246c5fcd11d86630ac882712052d4f691b54086b014c1c7bd17f",
+    "eq-2.1-monotonic@8": "9c20c1eb390bad112a4b8c81499f1152cb758a97c7f151ff16340af485e25bed",
+    "eq-2.1-monotonic@9": "586f7555809e1aa866cef7c80342eb39cdbb0551fc146a96f0fbe04edc6ca7e8",
+    "wiener-correspondence@4": "cb89f5da66cfd248a8e5c8a2ad094ce31809c566cc6e5256250947e92db2bb52",
+    "wiener-correspondence@5": "116447796cb848444707d2623806669790741db469eaf3c831be214fe0e3455d",
+    "wiener-correspondence@6": "9f82a53eb66689bcd3ba0106a6b39f9e3ed6bc6d24a9a55aa8e7af2a65be1a60",
+    "wiener-correspondence@7": "a00dd67f6ac5d6eed30989e9ec0272424026494940a0e070c4026117737d3283",
+    "wiener-correspondence@8": "90ba9c767060d23bb1c7f7f2f6b3390987412b0c898e6b3587418656a24d6614",
+    "wiener-correspondence@9": "5230e9e094706ada611583a7774d3a361915104a1933c38bf79b1201b58a079a",
+    "thm-3.5@6": "17146715f1fcda61f68c145733df808357a907b2e839f45be307dca331ca3f19",
+    "thm-3.5@8": "34e14d8b7d3ffbe292dbc2acca70c01e0e0305108ad97ee783ef7ef708537c5c",
+    "thm-3.5@10": "ad2cd175e77c291cc5134cfa4bd326c5958fdd33d3e3170ede5b0e3a7d2bc3eb",
+    "thm-3.5@12": "123faccd0c6b36f0dec31d679e426e1ffe3bc7dd026b014fbad5a46e2cf565ec",
+    "thm-3.5@13": "dddee6de5943db4853183bd07e4c85a46220682343ba5895a2d58cae1ae0a1e4",
+    "thm-3.6-shape@6": "31224159062943efacd5fe562c245be049b155769906df8aaec9a473d3ac9c44",
+    "thm-3.6-shape@8": "2c9d1bd9d7f07d682257fcce25f861fdadf135398c8ec492d3842e62bc6302ac",
+    "thm-3.6-shape@10": "1070d57f1105f400b613a888bd2977f6ce6c4584138770918384ba0bea2ef9c2",
+    "thm-3.6-shape@12": "4303666e5a8f5204050819ed7a13003abf2d37f6c0add0a708194cbecaf97b8a",
+    "thm-3.6-shape@13": "ab928fa57e25a80a12f5587170d4c0e67325981745bf013154623d897770873f",
+    "thm-4.1@8": "48bfe91fb21af7196deb3927f1d10bf6f03149e67cf608640a3903c8293ca8e3",
+    "thm-4.1@10": "3d661f77d0eda57ff466f98daf42bb12a22441adc1d3e4884a58a22a31825b29",
+    "thm-4.1@12": "2a4ba4ee2369a2eb5a64ba75f6d16d904616f1ab899758c5685ac88591d2dec0",
+    "thm-4.2@8": "20b47e6cd14b3a5b56b5bae6c4ee2fdfa2dd5231eb22845e1a90656ef237989c",
+    "thm-4.2@10": "8ea15b2d3aded99e3ef7b599ed97213002ce06a83271338d62298a47218efc4e",
+    "thm-4.2@12": "5a29392fac1e20e87598eeb60747fcb7e5186da219de2fc3e72a6862f3bd680d",
+    "thm-4.2@13": "b3a9d11f21dddc6bf233e4080c8cccfd32921b09b0534664085782b372612c2a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PAYLOADS))
+def test_payloads_match_golden_digests(key):
+    claim, n = key.rsplit("@", 1)
+    payload = json.dumps(run_claim(claim, int(n)).to_payload(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_PAYLOADS[key]
 
 
 def test_run_claim_rejects_negative_caps():
