@@ -12,8 +12,9 @@ Two independent routes are kept on purpose:
   everything else against.
 
 caterpillar_phi counts a caterpillar straight from its pendant vector in
-O(k), with no Tree; the caterpillar search scores every arrangement with
-it and recounts each winner with count_subtrees.
+O(k), with no Tree; the caterpillar search in extremal runs the same
+recurrence down each prefix of its branch and bound and recounts each
+winner with count_subtrees.
 """
 
 from .errors import EmptySpine, IndexOutOfRange, TooLarge

@@ -17,13 +17,12 @@ every sequence of order n takes one pass for all of them
 Caterpillars are the multiset permutations of the pendant vector, each
 mirror class kept at the permutation that is no greater than its reverse,
 so no seen-set is needed either; they are yielded as pendant vectors, not
-trees, and searches score them with counting.caterpillar_phi. The
-generation cost, the number of free trees on n vertices or of caterpillar
-arrangements, is checked against a budget before any work starts (this
-module is the only one that knows the budget policy): refusing is an
-error, never a truncation,
-because a partial enumeration would silently break the theorem sweeps built
-on top.
+trees. The generation cost, the number of free trees on n vertices or of
+caterpillar arrangements, is checked against a budget before any work
+starts (this module is the only one that knows the budget policy; the
+caterpillar search in extremal asks it too): refusing is an error, never a
+truncation, because a partial enumeration would silently break the theorem
+sweeps built on top.
 """
 
 import math
@@ -256,6 +255,16 @@ def enumerate_caterpillars(
     no set of classes seen. The permutation count is checked against
     budget.max_labeled before the first one.
     """
+    _check_caterpillar_budget(ds, budget)
+    pendants = [d - 2 for d in ds.internal]
+    for perm in lexicographic_multiset_permutations(pendants):
+        mirror = perm[::-1]
+        if perm <= mirror:
+            yield mirror
+
+
+def _check_caterpillar_budget(ds: DegreeSequence, budget: EnumerationBudget) -> None:
+    """Refuse a caterpillar search whose arrangement count exceeds the budget."""
     arrangements = count_caterpillar_arrangements(ds)
     if arrangements > budget.max_labeled:
         raise BudgetExceeded(
@@ -263,11 +272,6 @@ def enumerate_caterpillars(
             f"budget {budget.max_labeled}",
             arrangements,
         )
-    pendants = [d - 2 for d in ds.internal]
-    for perm in lexicographic_multiset_permutations(pendants):
-        mirror = perm[::-1]
-        if perm <= mirror:
-            yield mirror
 
 
 def count_caterpillar_arrangements(ds: DegreeSequence) -> int:

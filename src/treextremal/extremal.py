@@ -13,13 +13,16 @@ sequences with at most five internal vertices:
           whether d4 = d5 picks between C(d1-2, d5-2, d4-2, d3-2, d2-2) and
           C(d1-2, d4-2, d5-2, d3-2, d2-2); ties yield both.
 
-No closed forms exist for maximization, so maximum searches are exhaustive:
+No closed forms exist for maximization, so maximum searches are exact:
 over all realizations while the budget allows, otherwise over caterpillars
 only (and the report says so).
 
-The caterpillar search scores each arrangement from its pendant vector with
-the O(k) caterpillar_phi and builds a Tree only for the winners, whose
-counts it recomputes with the general count_subtrees; a disagreement raises
+The caterpillar search is an exact branch and bound over the arrangements
+of the pendant vector. It carries the caterpillar_phi recurrence down each
+prefix and cuts a prefix only when _phi_bound, a bound on every
+completion, is strictly worse than the best arrangement so far, so every
+tied winner survives. It builds a Tree only for the winners, whose counts
+it recomputes with the general count_subtrees; a disagreement raises
 InternalInconsistency, so the shortcut is cross-checked on every search.
 
 The module also implements the improving transformation behind the first
@@ -27,6 +30,7 @@ of these facts: shifting a branch off a non-caterpillar to a longest-path
 end.
 """
 
+import math
 from dataclasses import dataclass
 
 from .canonical import canonical_form
@@ -43,7 +47,7 @@ from .errors import (
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    enumerate_caterpillars,
+    _check_caterpillar_budget,
     enumerate_trees,
 )
 from .trees import Tree, bfs, diameter, is_caterpillar
@@ -182,23 +186,102 @@ def extremes(items, score, maximize=False):
     return best, winners, examined
 
 
-def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
-    """Exhaustive caterpillar search: (optimum, winners, trees, examined).
+def _phi_bound(s: int, total: int, rest, tail: int) -> int:
+    """Bound on phi(C(y)) over every completion of a prefix of y.
 
-    Every arrangement is scored by caterpillar_phi; winners are the optimal
-    canonical pendant vectors in enumeration order and trees their built
-    C(y), each recounted by count_subtrees, which must agree.
+    s = S_j and total = S_1 + ... + S_j for the prefix (see caterpillar_phi),
+    tail = sum(y) + 2, and rest holds the m >= 1 values still to place. With
+    B_t the sum of the first t of rest and P_t = 2^B_1 + ... + 2^B_t,
+
+        S_(j+t) = sum_(i=1..t) 2^(y_(j+i) + ... + y_(j+t)) + 2^(y_(j+1) + ... + y_(j+t)) s
+
+    and any u of the remaining values sum to at least the u smallest and at
+    most the u largest, so rest sorted ascending gives a lower bound and
+    sorted descending an upper bound:
+
+        total + sum_(t=1..m) (P_t + 2^B_t s) + (P_m + 2^B_m s) + tail
+
+    It is exact when m = 1 and uses no valley or mountain theorem.
     """
-    best, winners, examined = extremes(
-        enumerate_caterpillars(ds, budget), caterpillar_phi, maximize
-    )
+    run = powers = 0
+    for z in rest:
+        run += z
+        power = 1 << run
+        powers += power
+        last = powers + power * s
+        total += last
+    return total + last + tail
+
+
+def _caterpillar_search(pendants: list[int], maximize: bool):
+    """Exact branch and bound over the arrangements of a pendant vector.
+
+    Returns (optimum, winners, examined) exactly as scoring every mirror
+    class would: winners are the optimal canonical pendant vectors in
+    enumeration order (see enumerate_caterpillars) and examined counts the
+    classes scored at a leaf. A depth-first walk over the multiset
+    permutations in lexicographic order carries S_j and the partial phi sum
+    down each prefix. A prefix with at least three values left is cut only
+    when its _phi_bound is strictly worse than the best leaf so far, so
+    every tied winner survives; the last two values are scored inline.
+    """
+    tail = sum(pendants) + 2
+    best = -math.inf if maximize else math.inf
+    winners = []
+    examined = 0
+
+    def descend(prefix, s, total, rest):
+        nonlocal best, winners, examined
+        if len(rest) == 2:
+            a, b = rest
+            for x, y in ((a, b), (b, a)) if a != b else ((a, b),):
+                perm = prefix + (x, y)
+                mirror = perm[::-1]
+                if perm > mirror:  # its class was scored at the mirror
+                    continue
+                examined += 1
+                first = (s + 1) << x
+                last = (first + 1) << y
+                value = total + first + last + last + tail
+                if value > best if maximize else value < best:
+                    best, winners = value, [mirror]
+                elif value == best:
+                    winners.append(mirror)
+            return
+        if winners:  # before the first leaf there is nothing to cut against
+            bound = _phi_bound(s, total, rest[::-1] if maximize else rest, tail)
+            if bound < best if maximize else bound > best:
+                return
+        previous = None
+        for i, v in enumerate(rest):
+            if v != previous:
+                previous = v
+                nxt = (s + 1) << v
+                descend(prefix + (v,), nxt, total + nxt, rest[:i] + rest[i + 1 :])
+
+    if len(pendants) == 1:
+        return caterpillar_phi(pendants), [tuple(pendants)], 1
+    descend((), 1, 0, sorted(pendants))
+    return best, winners, examined
+
+
+def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
+    """Caterpillar search: (optimum, winners, trees, examined).
+
+    The arrangement count is checked against the budget before any work.
+    Winners and examined are as _caterpillar_search returns them; trees are
+    the winners' built C(y), each recounted by count_subtrees, which must
+    agree.
+    """
+    _check_caterpillar_budget(ds, budget)
+    best, winners, examined = _caterpillar_search([d - 2 for d in ds.internal], maximize)
     trees = []
     for y in winners:
         t = caterpillar_build(y)
         recount = count_subtrees(t)
         if recount != best:
             raise InternalInconsistency(
-                f"caterpillar_phi gives {best} for C{y}, count_subtrees {recount}"
+                f"caterpillar search gives {best} for C{y}, count_subtrees {recount}"
             )
         trees.append(t)
     return best, winners, trees, examined
@@ -246,13 +329,15 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
         value, ys = _closed_form_minimizers(ds)
         trees = [caterpillar_build(y) for y in ys]
         return _report(ds, objective, value, trees, method, len(ys))
+    refused = None  # the full search's refusal, when auto max falls back
     if method == "auto":
         if maximize:
             # enumerate_trees refuses before yielding anything, so a refusal
             # leaves nothing half-scored.
             try:
                 return _search(ds, objective, "brute", budget)
-            except BudgetExceeded:
+            except BudgetExceeded as exc:
+                refused = exc
                 method = "caterpillar"
         elif ds.k <= 5:
             value, ys = _closed_form_minimizers(ds)
@@ -270,7 +355,12 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
     if method == "brute":
         best, winners, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
     else:
-        best, _, winners, examined = _caterpillar_extremes(ds, budget, maximize)
+        try:
+            best, _, winners, examined = _caterpillar_extremes(ds, budget, maximize)
+        except BudgetExceeded as exc:
+            if refused is None:
+                raise
+            raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}", exc.predicted) from None
     return _report(ds, objective, best, winners, method, examined)
 
 
@@ -283,11 +373,13 @@ def find_min_subtrees(
     minimizer up to isomorphism.
 
     Methods: "brute" enumerates all trees; "caterpillar" searches only
-    caterpillars (complete for minimization), scoring each pendant vector in
-    O(k) and recounting the winners' trees; "closed-form" uses the k <= 5
-    formulas; "auto" picks the closed form for k <= 5 (always cross-checked
-    against the caterpillar search, at most 5! = 120 arrangements) and the
-    caterpillar search otherwise.
+    caterpillars (complete for minimization) by branch and bound over the
+    pendant-vector arrangements, cutting a prefix only when a lower bound
+    on its completions exceeds the best count so far, and recounts the
+    winners' trees; "closed-form" uses the k <= 5 formulas; "auto" picks
+    the closed form for k <= 5 (always cross-checked against the
+    caterpillar search, at most 5! = 120 arrangements) and the caterpillar
+    search otherwise.
     """
     return _search(ds, MIN_SUBTREES, method, budget)
 
@@ -302,7 +394,9 @@ def find_max_subtrees(
     No closed forms exist for maximization, so "auto" runs the full brute
     search and, when enumerate_trees refuses it under the budget, falls back
     to the caterpillar-only search, recording that restriction in
-    ``method``.
+    ``method``; if that is refused too, the error names both refusals. The
+    caterpillar search cuts a prefix only when an upper bound on its
+    completions is below the best count so far.
     """
     return _search(ds, MAX_SUBTREES, method, budget)
 

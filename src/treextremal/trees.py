@@ -29,11 +29,16 @@ class Tree:
         normalized.sort()
         if len(normalized) != n - 1:
             raise InvalidTree(f"expected {n - 1} edges for n={n}, got {len(normalized)}")
-        if len(set(normalized)) != len(normalized):
-            raise InvalidTree("duplicate edge")
-
+        # Sorted (u < v) edges list each vertex's lower neighbours first and
+        # each group ascending, so every adjacency list comes out sorted, and
+        # a duplicate sits next to its twin.
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
+        previous = None
+        for edge in normalized:
+            if edge == previous:
+                raise InvalidTree("duplicate edge")
+            previous = edge
+            u, v = edge
             adj[u].append(v)
             adj[v].append(u)
 
@@ -55,7 +60,7 @@ class Tree:
 
         self.n = n
         self.edges = tuple(normalized)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self.adjacency = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)

@@ -146,6 +146,21 @@ def test_budget_env_var(run, monkeypatch):
     assert code == 0
 
 
+def test_auto_max_double_refusal_names_both_searches(run):
+    # 23 free trees on 8 vertices, then 3! = 6 caterpillar arrangements.
+    argv = ("extremal", "--degseq", "4,3,2,1*5", "--objective", "max")
+    code, out, err = run(*argv, "--budget-labeled", "5")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: predicted 23 free trees on 8 vertices exceeds budget 5; "
+        "caterpillar fallback: predicted 6 caterpillar arrangements exceeds budget 5\n"
+    )
+    code, out, _ = run(*argv, "--budget-labeled", "6")
+    assert code == 0
+    assert json.loads(out)["results"]["method"] == "caterpillar"
+
+
 def test_enumerate_caterpillars_only_respects_budget(run, monkeypatch):
     # 4,3,2 internal: pendant vector (2,1,0) has 3! = 6 arrangements.
     argv = ("enumerate", "--degseq", "4,3,2,1*5", "--caterpillars-only")
@@ -188,8 +203,8 @@ def test_internal_inconsistency_exit_code(run, monkeypatch):
 def test_caterpillar_recount_mismatch_exit_code(run, monkeypatch):
     from treextremal import extremal
 
-    real = extremal.caterpillar_phi
-    monkeypatch.setattr(extremal, "caterpillar_phi", lambda y: real(y) + 1)
+    real = extremal.count_subtrees
+    monkeypatch.setattr(extremal, "count_subtrees", lambda t: real(t) + 1)
     code, out, err = run(
         "extremal", "--degseq", "4,4,3,3,2,1*8", "--objective", "min", "--method", "caterpillar"
     )

@@ -229,17 +229,21 @@ def test_caterpillar_order_matches_seen_set_reference():
 
 
 def test_caterpillar_search_examines_each_class_once():
+    # (mirror classes, classes the min search scores, classes the max
+    # search scores): the branch and bound scores each class at most once.
     pinned = {
-        "4,4,3,3,2,1*8": 16,
-        "3*7,1*9": 1,
-        "5,4,3,3,2,2,1*9": 90,
-        "6,5,4,3,3,2,2,1*13": 630,
-        "4,4,3,3,3,2,2,2,2,1*9": 636,
+        "4,4,3,3,2,1*8": (16, 16, 8),
+        "3*7,1*9": (1, 1, 1),
+        "5,4,3,3,2,2,1*9": (90, 64, 26),
+        "6,5,4,3,3,2,2,1*13": (630, 300, 53),
+        "4,4,3,3,3,2,2,2,2,1*9": (636, 220, 23),
     }
-    for text, classes in pinned.items():
+    for text, (classes, scored_min, scored_max) in pinned.items():
         ds = parse_degree_sequence(text)
-        assert find_min_subtrees(ds, method="caterpillar").trees_examined == classes
-        assert find_max_subtrees(ds, method="caterpillar").trees_examined == classes
+        assert len(list(enumerate_caterpillars(ds))) == classes
+        assert find_min_subtrees(ds, method="caterpillar").trees_examined == scored_min
+        assert find_max_subtrees(ds, method="caterpillar").trees_examined == scored_max
+        assert max(scored_min, scored_max) <= classes
 
 
 def test_caterpillars_match_filtered_tree_enumeration():

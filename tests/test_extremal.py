@@ -5,13 +5,26 @@ Derived expectations were computed with the subset-growth oracle (or the
 DP already proven equal to it) and frozen.
 """
 
+import random
+
 import pytest
 
 from treextremal.canonical import canonical_form
 from treextremal.caterpillars import caterpillar_build
-from treextremal.counting import _down_counts, brute_force_count, count_subtrees
+from treextremal.counting import (
+    _down_counts,
+    brute_force_count,
+    caterpillar_phi,
+    count_subtrees,
+)
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
-from treextremal.enumeration import EnumerationBudget, enumerate_degree_sequences, enumerate_trees
+from treextremal.enumeration import (
+    EnumerationBudget,
+    enumerate_caterpillars,
+    enumerate_degree_sequences,
+    enumerate_trees,
+    lexicographic_multiset_permutations,
+)
 from treextremal.errors import (
     ClosedFormUnavailable,
     InternalInconsistency,
@@ -19,6 +32,8 @@ from treextremal.errors import (
     WrongK,
 )
 from treextremal.extremal import (
+    _caterpillar_search,
+    _phi_bound,
     branch_shift_context,
     branch_shift_inequality,
     closed_form_phi,
@@ -171,7 +186,7 @@ def test_find_min_big_instance_all_methods_agree():
         assert report.optimizer_y_set() == {(6, 0, 1, 1, 1)}
     assert auto.method == "closed-form"
     assert cat.method == "caterpillar"
-    assert cat.trees_examined == 10
+    assert cat.trees_examined == 9  # of the 10 mirror classes
 
 
 def test_find_min_methods_agree_everywhere_small():
@@ -231,11 +246,71 @@ def test_caterpillar_search_recounts_winners(monkeypatch):
     from treextremal import extremal
 
     ds = parse_degree_sequence("4,4,3,3,2,1*8")
-    real = extremal.caterpillar_phi
-    monkeypatch.setattr(extremal, "caterpillar_phi", lambda y: real(y) + 1)
+    real = extremal.count_subtrees
+    monkeypatch.setattr(extremal, "count_subtrees", lambda t: real(t) + 1)
     for search in (find_min_subtrees, find_max_subtrees):
         with pytest.raises(InternalInconsistency, match="count_subtrees"):
             search(ds, method="caterpillar")
+
+
+def _pendant_sequence(pendants) -> DegreeSequence:
+    return DegreeSequence(tuple(y + 2 for y in pendants) + (1,) * (sum(pendants) + 2))
+
+
+def _random_pendants(rng, max_k):
+    return [rng.randint(0, 6) for _ in range(rng.randint(1, max_k))]
+
+
+def test_caterpillar_search_equals_exhaustive_scoring():
+    rng = random.Random(20121)
+    sequences = [ds for n in range(3, 15) for ds in enumerate_degree_sequences(n) if ds.k]
+    sequences += [_pendant_sequence(_random_pendants(rng, 9)) for _ in range(500)]
+    for ds in sequences:
+        pendants = [d - 2 for d in ds.internal]
+        # The oracle scores every class once, for both objectives.
+        phi = {y: caterpillar_phi(y) for y in enumerate_caterpillars(ds)}
+        for maximize in (False, True):
+            best, winners, classes = extremes(phi, phi.__getitem__, maximize)
+            found, found_winners, examined = _caterpillar_search(pendants, maximize)
+            assert (found, found_winners) == (best, winners), (ds, maximize)
+            assert 1 <= examined <= classes
+
+
+def test_phi_bound_brackets_every_completion():
+    rng = random.Random(20122)
+    for _ in range(200):
+        pendants = _random_pendants(rng, 7)
+        tail = sum(pendants) + 2
+        for perm in lexicographic_multiset_permutations(pendants):
+            phi = caterpillar_phi(perm)
+            s, total = 1, 0
+            for j, v in enumerate(perm):
+                rest = sorted(perm[j:])
+                low = _phi_bound(s, total, rest, tail)
+                high = _phi_bound(s, total, rest[::-1], tail)
+                assert low <= phi <= high, (perm, j)
+                if j == len(perm) - 1:
+                    assert low == phi == high  # one value left: exact
+                s = (s + 1) << v
+                total += s
+
+
+def test_caterpillar_search_k5_tag_ii():
+    # With d4 = d5 the trichotomy's two candidates are one arrangement, and
+    # lhs = rhs cannot happen (1 + 2^(d2-1) is odd for d2 >= 2), so every
+    # tag II sequence has a single minimizing class, which the search finds.
+    checked = 0
+    for n in range(7, 17):
+        for ds in enumerate_degree_sequences(n, 5, 5):
+            case, predicted = predict_min_k5(ds)
+            if case.tag != "II":
+                continue
+            assert case.d4_equals_d5 and case.lhs != case.rhs
+            best, winners, _ = _caterpillar_search([d - 2 for d in ds.internal], False)
+            assert set(winners) == predicted and len(winners) == 1
+            assert best == caterpillar_phi(winners[0])
+            checked += 1
+    assert checked > 50
 
 
 def test_find_max_closed_form_unavailable():

@@ -34,6 +34,37 @@ def test_tree_validation_rejects_bad_inputs():
         Tree(0, [])
 
 
+def test_tree_validation_messages():
+    # Each rejection's message, checked in this order: vertex count, then
+    # per edge (as given) range and self-loop, edge count, duplicates,
+    # connectivity.
+    cases = [
+        (3, [(0, 1)], "expected 2 edges for n=3, got 1"),
+        (3, [(0, 1), (0, 1)], "duplicate edge"),
+        (3, [(1, 0), (0, 1)], "duplicate edge"),
+        (3, [(0, 0), (1, 2)], "self-loop at vertex 0"),
+        (3, [(0, 3), (1, 2)], "edge (0, 3) has a label outside 0..2"),
+        (3, [(5, 2), (1, 2)], "edge (5, 2) has a label outside 0..2"),
+        (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        (3, [(1, 1), (0, 7)], "self-loop at vertex 1"),
+        (3, [(0, 1), (1, 2), (2, 0)], "expected 2 edges for n=3, got 3"),
+        (4, [(0, 1), (2, 3), (0, 1)], "duplicate edge"),
+        (4, [(0, 1), (1, 2), (2, 0)], "edge set is not connected"),
+        (0, [], "vertex count must be >= 1, got 0"),
+        (0, [(0, 1)], "vertex count must be >= 1, got 0"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(InvalidTree) as info:
+            Tree(n, edges)
+        assert str(info.value) == message, (n, edges)
+
+
+def test_tree_adjacency_is_sorted():
+    t = Tree(6, [(5, 0), (3, 1), (0, 3), (4, 3), (2, 3)])
+    assert t.edges == ((0, 3), (0, 5), (1, 3), (2, 3), (3, 4))
+    assert t.adjacency == ((3, 5), (3,), (3,), (0, 1, 2, 4), (3,), (0,))
+
+
 def test_degree_queries():
     t = star_tree(4)
     assert t.degree(0) == 3
