@@ -36,7 +36,8 @@ EXIT_INTERNAL = 4
 BUDGET_ENV = "TREEXTREMAL_BUDGET"
 BUDGET_HELP = (
     "cap on candidates generated: free trees on n vertices for a full "
-    f"enumeration, arrangements for a caterpillar search (overrides {BUDGET_ENV})"
+    "enumeration, arrangements for --caterpillars-only, prefixes entered by a "
+    f"caterpillar search (overrides {BUDGET_ENV})"
 )
 
 

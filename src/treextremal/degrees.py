@@ -7,6 +7,7 @@ number of internal entries (those >= 2); entries k+1..n are all 1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import NotATreeSequence, ParseError
@@ -40,9 +41,11 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.degrees)
 
-    @property
+    @cached_property
     def k(self) -> int:
-        """Number of internal (degree >= 2) entries."""
+        """Number of internal (degree >= 2) entries, counted once; the
+        cache lives outside the fields, so equality, hashing and repr are
+        unaffected."""
         return sum(1 for d in self.degrees if d >= 2)
 
     @property

@@ -19,10 +19,11 @@ mirror class kept at the permutation that is no greater than its reverse,
 so no seen-set is needed either; they are yielded as pendant vectors, not
 trees. The generation cost, the number of free trees on n vertices or of
 caterpillar arrangements, is checked against a budget before any work
-starts (this module is the only one that knows the budget policy; the
-caterpillar search in extremal asks it too): refusing is an error, never a
-truncation, because a partial enumeration would silently break the theorem
-sweeps built on top.
+starts; the caterpillar search in extremal, which scores far fewer
+arrangements than it could, is capped instead by the prefixes it enters
+and stopped when it passes the same cap. Refusing is an error, never a
+truncation, because a partial enumeration would silently break the
+theorem sweeps built on top.
 """
 
 import math
@@ -40,7 +41,8 @@ class EnumerationBudget:
 
     max_labeled caps the candidates a search may generate: the free trees on
     n vertices for a full enumeration, the pendant-vector arrangements for a
-    caterpillar search. max_n caps the order of a full enumeration.
+    caterpillar enumeration, the prefixes a caterpillar search enters. max_n
+    caps the order of a full enumeration.
     """
 
     max_labeled: int = 10_000_000
@@ -264,7 +266,8 @@ def enumerate_caterpillars(
 
 
 def _check_caterpillar_budget(ds: DegreeSequence, budget: EnumerationBudget) -> None:
-    """Refuse a caterpillar search whose arrangement count exceeds the budget."""
+    """Refuse a caterpillar enumeration whose arrangement count exceeds the
+    budget."""
     arrangements = count_caterpillar_arrangements(ds)
     if arrangements > budget.max_labeled:
         raise BudgetExceeded(
@@ -276,7 +279,7 @@ def _check_caterpillar_budget(ds: DegreeSequence, budget: EnumerationBudget) -> 
 
 def count_caterpillar_arrangements(ds: DegreeSequence) -> int:
     """Distinct multiset permutations of the pendant vector (before mirror
-    dedupe); the cost predictor for caterpillar searches."""
+    dedupe); the cost predictor for enumerate_caterpillars."""
     if ds.k == 0:
         raise NoInternalVertices(f"no internal vertices in {ds}")
     pendants = [d - 2 for d in ds.internal]

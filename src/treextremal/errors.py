@@ -46,11 +46,15 @@ class TooLarge(TreextremalError, ValueError):
 
 
 class BudgetExceeded(TreextremalError, RuntimeError):
-    """Predicted enumeration cost exceeds the configured budget.
+    """Enumeration or search cost exceeds the configured budget.
 
     ``predicted`` carries the predicted candidate count (free trees on n
-    vertices, caterpillar arrangements, or the order n when it exceeds the
-    order cap) so callers can report how far over budget the request was.
+    vertices, caterpillar arrangements for an enumeration of every class,
+    or the order n when it exceeds the order cap) so callers can report how
+    far over budget the request was. A caterpillar search is not predicted
+    but stopped: for its node cap, ``predicted`` is the number of prefixes
+    it had entered when it stopped (the budget plus one), a lower bound on
+    the search's size.
     """
 
     def __init__(self, message: str, predicted: int):

@@ -18,19 +18,23 @@ over all realizations while the budget allows, otherwise over caterpillars
 only (and the report says so).
 
 The caterpillar search is an exact branch and bound over the arrangements
-of the pendant vector. It carries the caterpillar_phi recurrence down each
+of the pendant vector. Its incumbent starts at the count of one real
+arrangement, a zig-zag valley for min and mountain for max, so pruning
+starts at the root; it carries the caterpillar_phi recurrence down each
 prefix and cuts a prefix only when _phi_bound, a bound on every
-completion, is strictly worse than the best arrangement so far, so every
-tied winner survives. It builds a Tree only for the winners, whose counts
-it recomputes with the general count_subtrees; a disagreement raises
-InternalInconsistency, so the shortcut is cross-checked on every search.
+completion, is strictly worse than the incumbent, so every tied winner
+survives and exactness rests on no shape theorem. Its cost is capped by
+the prefixes it enters (budget.max_labeled): past the cap it raises
+BudgetExceeded and returns nothing. It builds a Tree only for the
+winners, whose counts it recomputes with the general count_subtrees; a
+disagreement raises InternalInconsistency, so the shortcut is
+cross-checked on every search.
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
 end.
 """
 
-import math
 from dataclasses import dataclass
 
 from .canonical import canonical_form
@@ -47,7 +51,6 @@ from .errors import (
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    _check_caterpillar_budget,
     enumerate_trees,
 )
 from .trees import Tree, bfs, diameter, is_caterpillar
@@ -213,7 +216,19 @@ def _phi_bound(s: int, total: int, rest, tail: int) -> int:
     return total + last + tail
 
 
-def _caterpillar_search(pendants: list[int], maximize: bool):
+def _seed_arrangement(pendants, maximize: bool) -> tuple[int, ...]:
+    """The zig-zag arrangement whose phi seeds the search's incumbent.
+
+    For min, the values in descending order go alternately to the left and
+    right ends, a valley with the smallest value at its bottom; for max the
+    ascending values do the same, a mountain. It is one real arrangement, so
+    its phi is attained and bounds the optimum; no shape theorem is used.
+    """
+    v = sorted(pendants, reverse=not maximize)
+    return tuple(v[0::2] + v[1::2][::-1])
+
+
+def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDGET):
     """Exact branch and bound over the arrangements of a pendant vector.
 
     Returns (optimum, winners, examined) exactly as scoring every mirror
@@ -221,17 +236,31 @@ def _caterpillar_search(pendants: list[int], maximize: bool):
     enumeration order (see enumerate_caterpillars) and examined counts the
     classes scored at a leaf. A depth-first walk over the multiset
     permutations in lexicographic order carries S_j and the partial phi sum
-    down each prefix. A prefix with at least three values left is cut only
-    when its _phi_bound is strictly worse than the best leaf so far, so
-    every tied winner survives; the last two values are scored inline.
+    down each prefix. The incumbent starts at the phi of the zig-zag
+    arrangement (_seed_arrangement, not counted in examined), so prefixes
+    are cut from the root on: a prefix with at least three values left is
+    cut only when its _phi_bound is strictly worse than the incumbent, so
+    the seed's class and every tied winner survive; the last two values
+    are scored inline. The walk counts the prefixes it enters, the root
+    included, and raises BudgetExceeded once that count passes
+    budget.max_labeled, never returning a partial optimum.
     """
+    if len(pendants) == 1:
+        return caterpillar_phi(pendants), [tuple(pendants)], 1
     tail = sum(pendants) + 2
-    best = -math.inf if maximize else math.inf
+    best = caterpillar_phi(_seed_arrangement(pendants, maximize))
     winners = []
     examined = 0
+    cap = budget.max_labeled
+    nodes = 0
 
     def descend(prefix, s, total, rest):
-        nonlocal best, winners, examined
+        nonlocal best, winners, examined, nodes
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(
+                f"caterpillar search exceeds budget {cap} after entering {nodes} prefixes", nodes
+            )
         if len(rest) == 2:
             a, b = rest
             for x, y in ((a, b), (b, a)) if a != b else ((a, b),):
@@ -248,10 +277,9 @@ def _caterpillar_search(pendants: list[int], maximize: bool):
                 elif value == best:
                     winners.append(mirror)
             return
-        if winners:  # before the first leaf there is nothing to cut against
-            bound = _phi_bound(s, total, rest[::-1] if maximize else rest, tail)
-            if bound < best if maximize else bound > best:
-                return
+        bound = _phi_bound(s, total, rest[::-1] if maximize else rest, tail)
+        if bound < best if maximize else bound > best:
+            return
         previous = None
         for i, v in enumerate(rest):
             if v != previous:
@@ -259,22 +287,23 @@ def _caterpillar_search(pendants: list[int], maximize: bool):
                 nxt = (s + 1) << v
                 descend(prefix + (v,), nxt, total + nxt, rest[:i] + rest[i + 1 :])
 
-    if len(pendants) == 1:
-        return caterpillar_phi(pendants), [tuple(pendants)], 1
-    descend((), 1, 0, sorted(pendants))
+    try:
+        descend((), 1, 0, sorted(pendants))
+    finally:
+        del descend  # the closure refers to itself; leave no garbage cycle
     return best, winners, examined
 
 
 def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
     """Caterpillar search: (optimum, winners, trees, examined).
 
-    The arrangement count is checked against the budget before any work.
-    Winners and examined are as _caterpillar_search returns them; trees are
-    the winners' built C(y), each recounted by count_subtrees, which must
-    agree.
+    Winners and examined are as _caterpillar_search returns them, under the
+    budget's node cap; trees are the winners' built C(y), each recounted by
+    count_subtrees, which must agree.
     """
-    _check_caterpillar_budget(ds, budget)
-    best, winners, examined = _caterpillar_search([d - 2 for d in ds.internal], maximize)
+    best, winners, examined = _caterpillar_search(
+        [d - 2 for d in ds.internal], maximize, budget
+    )
     trees = []
     for y in winners:
         t = caterpillar_build(y)
@@ -374,12 +403,15 @@ def find_min_subtrees(
 
     Methods: "brute" enumerates all trees; "caterpillar" searches only
     caterpillars (complete for minimization) by branch and bound over the
-    pendant-vector arrangements, cutting a prefix only when a lower bound
-    on its completions exceeds the best count so far, and recounts the
-    winners' trees; "closed-form" uses the k <= 5 formulas; "auto" picks
-    the closed form for k <= 5 (always cross-checked against the
-    caterpillar search, at most 5! = 120 arrangements) and the caterpillar
-    search otherwise.
+    pendant-vector arrangements, seeded with the count of the zig-zag
+    valley, cutting a prefix only when a lower bound on its completions
+    exceeds the best count so far, and recounts the winners' trees; it is
+    refused (BudgetExceeded) once it enters more than budget.max_labeled
+    prefixes. trees_examined counts the classes it scored at a leaf, not
+    the seed. "closed-form" uses the k <= 5 formulas; "auto" picks the
+    closed form for k <= 5 (always cross-checked against the caterpillar
+    search, at most 5! = 120 arrangements) and the caterpillar search
+    otherwise.
     """
     return _search(ds, MIN_SUBTREES, method, budget)
 
@@ -395,8 +427,9 @@ def find_max_subtrees(
     search and, when enumerate_trees refuses it under the budget, falls back
     to the caterpillar-only search, recording that restriction in
     ``method``; if that is refused too, the error names both refusals. The
-    caterpillar search cuts a prefix only when an upper bound on its
-    completions is below the best count so far.
+    caterpillar search is seeded with the count of the zig-zag mountain,
+    cuts a prefix only when an upper bound on its completions is below the
+    best count so far, and has the same node cap as the minimum search.
     """
     return _search(ds, MAX_SUBTREES, method, budget)
 
@@ -429,12 +462,20 @@ def branch_shift_context(t: Tree, y: int, v_r: int) -> BranchShiftContext:
     t.check_vertex(v_r)
     if is_caterpillar(t):
         raise NotApplicable("tree is already a caterpillar")
+    return _branch_shift_context(t, y, v_r, diameter(t), {})
+
+
+def _branch_shift_context(t: Tree, y: int, v_r: int, diam: int, searches: dict):
+    """branch_shift_context on a non-caterpillar t of diameter diam, for
+    valid vertices; searches memoizes (parent, dist) of the BFS from each
+    leaf v_r, so a caller trying many pairs on one tree runs one per leaf."""
     if len(t.adjacency[y]) < 2:
         raise NotApplicable(f"vertex {y} has no children to move")
     if len(t.adjacency[v_r]) != 1:
         raise NotApplicable(f"vertex {v_r} is not a leaf")
-    _, parent, dist = bfs(t, v_r)
-    diam = diameter(t)
+    if v_r not in searches:
+        searches[v_r] = bfs(t, v_r)[1:]
+    parent, dist = searches[v_r]
     if max(dist) != diam:
         raise NotApplicable(f"vertex {v_r} is not the endpoint of a longest path")
     v_l = parent[y]
@@ -464,7 +505,12 @@ def shift_branch_to_end(t: Tree, y: int, v_r: int) -> Tree:
     branch_shift_inequality) holds and y's branch is nontrivial, the rewired
     tree has strictly fewer subtrees.
     """
-    ctx = branch_shift_context(t, y, v_r)
+    return _shifted(t, branch_shift_context(t, y, v_r))
+
+
+def _shifted(t: Tree, ctx: BranchShiftContext) -> Tree:
+    """t with each edge (y, x) to a moved child replaced by (v_r, x)."""
+    y, v_r = ctx.y, ctx.v_r
     removed = {tuple(sorted((y, x))) for x in ctx.moved_children}
     edges = [e for e in t.edges if e not in removed]
     edges.extend((v_r, x) for x in ctx.moved_children)

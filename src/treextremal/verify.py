@@ -41,16 +41,16 @@ from .enumeration import (
     enumerate_degree_sequences,
 )
 from .extremal import (
+    _branch_shift_context,
     _caterpillar_extremes,
-    branch_shift_context,
+    _shifted,
     branch_shift_inequality,
     closed_form_phi,
     extremes,
     predict_min_k5,
-    shift_branch_to_end,
 )
 from .errors import NotApplicable
-from .trees import is_caterpillar
+from .trees import diameter, is_caterpillar
 
 PASS = "pass"
 FAIL = "fail"
@@ -298,17 +298,21 @@ def verify_transformation_monotonicity(
                 continue
             trees_seen += 1
             phi = count_subtrees(t)
+            # The caterpillar test and the diameter are per-tree facts, and
+            # the BFS from each leaf is shared by every y.
+            diam = diameter(t)
+            searches = {}
             for y in range(t.n):
                 for v_r in range(t.n):
                     try:
-                        ctx = branch_shift_context(t, y, v_r)
+                        ctx = _branch_shift_context(t, y, v_r, diam, searches)
                     except NotApplicable:
                         continue
                     weight, tail, branch = branch_shift_inequality(t, ctx)
                     if not (weight > tail and branch > 1):
                         continue
                     applicable += 1
-                    shifted = shift_branch_to_end(t, y, v_r)
+                    shifted = _shifted(t, ctx)
                     phi2 = count_subtrees(shifted)
                     if phi2 < phi:
                         decreased += 1

@@ -147,18 +147,31 @@ def test_budget_env_var(run, monkeypatch):
 
 
 def test_auto_max_double_refusal_names_both_searches(run):
-    # 23 free trees on 8 vertices, then 3! = 6 caterpillar arrangements.
+    # 23 free trees on 8 vertices; the caterpillar search on (2,1,0) enters
+    # 4 prefixes: the root and one per first value.
     argv = ("extremal", "--degseq", "4,3,2,1*5", "--objective", "max")
-    code, out, err = run(*argv, "--budget-labeled", "5")
+    code, out, err = run(*argv, "--budget-labeled", "3")
     assert code == 3
     assert out == ""
     assert err == (
-        "error: predicted 23 free trees on 8 vertices exceeds budget 5; "
-        "caterpillar fallback: predicted 6 caterpillar arrangements exceeds budget 5\n"
+        "error: predicted 23 free trees on 8 vertices exceeds budget 3; "
+        "caterpillar fallback: caterpillar search exceeds budget 3 after entering 4 prefixes\n"
     )
-    code, out, _ = run(*argv, "--budget-labeled", "6")
+    code, out, _ = run(*argv, "--budget-labeled", "4")
     assert code == 0
     assert json.loads(out)["results"]["method"] == "caterpillar"
+
+
+def test_caterpillar_search_is_capped_by_nodes(run):
+    # 12! arrangements, but the seeded search enters 11,224 prefixes.
+    argv = ("extremal", "--degseq", "13,12,11,10,9,8,7,6,5,4,3,2,1*68", "--objective", "min")
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert json.loads(out)["results"]["method"] == "caterpillar"
+    code, out, err = run(*argv, "--budget-labeled", "11223")
+    assert code == 3
+    assert out == ""
+    assert err == "error: caterpillar search exceeds budget 11223 after entering 11224 prefixes\n"
 
 
 def test_enumerate_caterpillars_only_respects_budget(run, monkeypatch):
@@ -183,7 +196,9 @@ def test_verify_caterpillar_claims_respect_budget(run):
         code, out, err = run("verify", claim, "--max-n", "8", "--budget-labeled", "1")
         assert code == 3, claim
         assert out == ""
-        assert "caterpillar arrangements exceeds budget 1" in err
+        # k = 2 needs only the root; the first k = 3 search enters a second
+        # prefix.
+        assert "caterpillar search exceeds budget 1 after entering 2 prefixes" in err
 
 
 def test_internal_inconsistency_exit_code(run, monkeypatch):

@@ -44,3 +44,11 @@ def test_k_and_internal():
     assert ds.internal == (8, 3, 3, 3, 2)
     assert ds.leaf_count == 11
     assert str(ds) == "8,3,3,3,2,1,1,1,1,1,1,1,1,1,1,1"
+
+
+def test_k_is_counted_once_outside_the_fields():
+    a = parse_degree_sequence("4,3,2,1*5")
+    b = parse_degree_sequence("4,3,2,1*5")
+    assert (a.k, a.internal, a.leaf_count) == (3, (4, 3, 2), 5)
+    assert "k" in vars(a) and "k" not in vars(b)  # cached on first access
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

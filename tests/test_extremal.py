@@ -5,6 +5,7 @@ Derived expectations were computed with the subset-growth oracle (or the
 DP already proven equal to it) and frozen.
 """
 
+import gc
 import random
 
 import pytest
@@ -19,13 +20,16 @@ from treextremal.counting import (
 )
 from treextremal.degrees import DegreeSequence, parse_degree_sequence
 from treextremal.enumeration import (
+    DEFAULT_BUDGET,
     EnumerationBudget,
+    count_caterpillar_arrangements,
     enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
     lexicographic_multiset_permutations,
 )
 from treextremal.errors import (
+    BudgetExceeded,
     ClosedFormUnavailable,
     InternalInconsistency,
     NotApplicable,
@@ -34,6 +38,7 @@ from treextremal.errors import (
 from treextremal.extremal import (
     _caterpillar_search,
     _phi_bound,
+    _seed_arrangement,
     branch_shift_context,
     branch_shift_inequality,
     closed_form_phi,
@@ -44,6 +49,7 @@ from treextremal.extremal import (
     shift_branch_to_end,
 )
 from treextremal.trees import Tree, is_caterpillar, path_tree
+from treextremal.verify import _orientations, _valley_ok
 
 SPIDER = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
@@ -186,7 +192,7 @@ def test_find_min_big_instance_all_methods_agree():
         assert report.optimizer_y_set() == {(6, 0, 1, 1, 1)}
     assert auto.method == "closed-form"
     assert cat.method == "caterpillar"
-    assert cat.trees_examined == 9  # of the 10 mirror classes
+    assert cat.trees_examined == 6  # of the 10 mirror classes; the seed is not counted
 
 
 def test_find_min_methods_agree_everywhere_small():
@@ -311,6 +317,65 @@ def test_caterpillar_search_k5_tag_ii():
             assert best == caterpillar_phi(winners[0])
             checked += 1
     assert checked > 50
+
+
+DISTINCT_12 = "13,12,11,10,9,8,7,6,5,4,3,2,1*68"
+
+
+def test_seed_is_a_permutation_of_the_pendants():
+    assert _seed_arrangement([0, 1, 2, 3, 4, 5], False) == (5, 3, 1, 0, 2, 4)
+    assert _seed_arrangement([0, 1, 2, 3, 4, 5], True) == (0, 2, 4, 5, 3, 1)
+    rng = random.Random(20123)
+    for _ in range(300):
+        pendants = _random_pendants(rng, 8)
+        for maximize in (False, True):
+            seed = _seed_arrangement(pendants, maximize)
+            assert sorted(seed) == sorted(pendants)
+            # One real arrangement: never better than the optimum.
+            best = _caterpillar_search(pendants, maximize)[0]
+            assert caterpillar_phi(seed) <= best if maximize else caterpillar_phi(seed) >= best
+
+
+def test_distinct_k12_min_is_answered_with_valley_winners():
+    ds = parse_degree_sequence(DISTINCT_12)
+    # 12! arrangements, far past the budget the search is capped by.
+    assert count_caterpillar_arrangements(ds) > DEFAULT_BUDGET.max_labeled
+    report = find_min_subtrees(ds)
+    assert report.method == "caterpillar"
+    assert report.optimizer_y_set() == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
+    assert report.trees_examined == 990
+    for y in report.optimizer_y_set():
+        for z in _orientations(y):
+            assert _valley_ok(z, 0)
+
+
+def test_node_cap_refuses_without_a_partial_optimum():
+    ds = parse_degree_sequence(DISTINCT_12)
+    # The seeded min search enters 11,224 prefixes, the root included.
+    report = find_min_subtrees(ds, budget=EnumerationBudget(max_labeled=11_224))
+    assert report.optimizer_y_set() == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
+    tight = EnumerationBudget(max_labeled=11_223)
+    with pytest.raises(BudgetExceeded, match="budget 11223 after entering 11224 prefixes") as info:
+        find_min_subtrees(ds, budget=tight)
+    assert info.value.predicted == 11_224
+    with pytest.raises(BudgetExceeded):
+        find_min_subtrees(ds, method="caterpillar", budget=tight)
+
+
+def test_search_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for maximize in (False, True):
+            for _ in range(50):
+                _caterpillar_search([3, 1, 4, 1, 5, 2], maximize)
+        try:
+            _caterpillar_search([3, 1, 4, 1, 5, 2], False, EnumerationBudget(max_labeled=2))
+        except BudgetExceeded:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_find_max_closed_form_unavailable():

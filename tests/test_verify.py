@@ -128,7 +128,7 @@ def test_payload_int_types_do_not_depend_on_magnitude():
 def test_caterpillar_claims_respect_budget():
     tiny = EnumerationBudget(max_labeled=1)
     for claim in ("thm-3.5", "thm-3.6-shape", "thm-4.1", "thm-4.2"):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="caterpillar search exceeds budget 1"):
             run_claim(claim, 8, budget=tiny)
 
 
