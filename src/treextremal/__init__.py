@@ -23,10 +23,8 @@ from .caterpillars import (
 from .canonical import canonical_form, centers, rooted_code
 from .counting import (
     brute_force_count,
-    component_counts,
     count_all_containing,
     count_subtrees,
-    count_subtrees_containing,
     wiener_index,
 )
 from .degrees import DegreeSequence, degree_sequence, parse_degree_sequence
@@ -91,13 +89,11 @@ __all__ = [
     "caterpillar_from_tree",
     "centers",
     "closed_form_phi",
-    "component_counts",
     "count_all_containing",
     "count_caterpillar_arrangements",
     "count_free_trees",
     "enumerate_all_trees",
     "count_subtrees",
-    "count_subtrees_containing",
     "degree_sequence",
     "diameter",
     "enumerate_caterpillars",

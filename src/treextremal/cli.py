@@ -5,11 +5,13 @@ Subcommands: count, extremal, enumerate, verify. Output is a JSON document
 a decimal string, since the values outgrow JSON numbers fast. Exit codes are
 a stable contract: 0 success or verified pass, 1 verification failure,
 2 invalid input, 3 budget exceeded, 4 internal inconsistency (two routes
-to the same answer disagree: a bug, never a counterexample).
+to the same answer disagree: a bug, never a counterexample). main builds
+its parser once per process, on its first call.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -51,7 +53,8 @@ def _document(command: str, inputs: dict, results) -> dict:
 
 
 def _emit(args, document: dict, csv_rows: list[dict] | None = None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    """Write the document as JSON, or csv_rows as CSV when they are given."""
+    if csv_rows is not None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else [])
         writer.writeheader()
@@ -170,15 +173,17 @@ def cmd_enumerate(args) -> int:
                 }
             )
     inputs = {"degseq": args.degseq, "caterpillars_only": args.caterpillars_only}
-    csv_rows = [
-        {
-            "canonical_code": r["canonical_code"],
-            "y_vector_or_blank": " ".join(str(v) for v in r["y_vector"]) if r["y_vector"] else "",
-            "phi": r["phi"],
-            "wiener": r["wiener"],
-        }
-        for r in rows
-    ]
+    csv_rows = None
+    if args.format == "csv":
+        csv_rows = [
+            {
+                "canonical_code": r["canonical_code"],
+                "y_vector_or_blank": " ".join(str(v) for v in r["y_vector"]) if r["y_vector"] else "",
+                "phi": r["phi"],
+                "wiener": r["wiener"],
+            }
+            for r in rows
+        ]
     _emit(args, _document("enumerate", inputs, {"count": len(rows), "trees": rows}), csv_rows)
     return EXIT_OK
 
@@ -236,10 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad input already; normalize anything else.
         return EXIT_INPUT if exc.code not in (0,) else 0

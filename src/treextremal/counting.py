@@ -6,7 +6,9 @@ ever touches floating point).
 
 Two independent routes are kept on purpose:
 
-* the product-form dynamic program (count_subtrees and friends), and
+* the product-form dynamic program: count_subtrees sums the rooted counts,
+  and count_all_containing reroots them to every vertex in one pass by
+  exact division, and
 * brute_force_count, which grows connected subsets one vertex at a time and
   shares no recursion with the DP. It is the oracle the test suite holds
   everything else against.
@@ -17,7 +19,7 @@ recurrence down each prefix of its branch and bound and recounts each
 winner with count_subtrees.
 """
 
-from .errors import EmptySpine, IndexOutOfRange, TooLarge
+from .errors import EmptySpine, TooLarge
 from .trees import Tree, bfs
 
 
@@ -29,12 +31,8 @@ def _down_counts(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     """
     order, parent, _ = bfs(t, root)
     down = [1] * t.n
-    for v in reversed(order):
-        prod = 1
-        for w in t.adjacency[v]:
-            if w != parent[v]:
-                prod *= 1 + down[w]
-        down[v] = prod
+    for v in reversed(order[1:]):  # children before parents; the root has no parent
+        down[parent[v]] *= 1 + down[v]
     return down, order, parent
 
 
@@ -48,76 +46,24 @@ def count_subtrees(t: Tree) -> int:
     return sum(down)
 
 
-def count_subtrees_containing(t: Tree, v: int) -> int:
-    """Number of subtrees containing vertex v.
-
-    Rooting at v, this is the product over neighbors u of (1 + the count of
-    subtrees containing u inside u's component of t - v).
-    """
-    down, _, _ = _down_counts(t, v)
-    return down[v]
-
-
 def count_all_containing(t: Tree) -> list[int]:
-    """Per-vertex containment counts in two sweeps.
+    """Per-vertex containment counts in one rerooting pass.
 
-    The down sweep computes rooted counts from a fixed root; the up sweep
-    pushes the complementary count up[c] = (number of subtrees containing the
-    parent of c inside the tree minus c's subtree) down the traversal using
-    prefix/suffix products over siblings. Then every vertex combines both
-    sides: result[v] = (1 + up[v]) * prod over children (1 + down[c]).
+    Root at 0 and take the rooted counts down[v]; the root's own count is
+    down[0]. For a child c of p, up_c counts the subtrees containing p that
+    avoid c's side, so result[p] = up_c * (1 + down[c]): the division by
+    1 + down[c] is exact, and the subtrees containing c number
+    down[c] * (1 + up_c). Going down the traversal, each parent is final
+    before its children:
+
+        result[c] = down[c] * (1 + result[p] // (1 + down[c]))
     """
     down, order, parent = _down_counts(t, 0)
-    up = [0] * t.n  # up[root] stays 0: the factor (1 + up) degenerates to 1
-    result = [0] * t.n
-    for v in order:
-        children = [w for w in t.adjacency[v] if w != parent[v]]
-        factors = [1 + down[c] for c in children]
-        m = len(children)
-        prefix = [1] * (m + 1)
-        for i in range(m):
-            prefix[i + 1] = prefix[i] * factors[i]
-        suffix = [1] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * factors[i]
-        side = 1 + up[v]
-        result[v] = side * prefix[m]
-        for i, c in enumerate(children):
-            up[c] = side * prefix[i] * suffix[i + 1]
+    result = down[:]
+    for v in order[1:]:
+        d = down[v]
+        result[v] = d * (1 + result[parent[v]] // (1 + d))
     return result
-
-
-def component_counts(
-    y, j: int | None = None
-) -> list[tuple[int, int, int]] | tuple[int, int, int]:
-    """Containment counts of v_j in its three standard spine components of C(y).
-
-    Row j is (f_j, f_le, f_ge) where the components arise from C(y) by
-    deleting, respectively, both spine edges at v_j, the right spine edge
-    v_j v_{j+1}, and the left spine edge v_{j-1} v_j:
-
-        f_j  = 2**y_j
-        f_le = 2**y_j * (1 + f_le at j-1)
-        f_ge = 2**y_j * (1 + f_ge at j+1)
-
-    Rows are indexed j = 0..k+1; the boundary rows are fixed to (1, 1, 1)
-    since they are single-vertex components. Pass j to get one row.
-    """
-    y = _pendants(y)
-    k = len(y)
-    own = [1] + [2**v for v in y] + [1]
-    le = [1] * (k + 2)
-    for i in range(1, k + 1):
-        le[i] = own[i] * (1 + le[i - 1])
-    ge = [1] * (k + 2)
-    for i in range(k, 0, -1):
-        ge[i] = own[i] * (1 + ge[i + 1])
-    rows = [(1, 1, 1)] + [(own[i], le[i], ge[i]) for i in range(1, k + 1)] + [(1, 1, 1)]
-    if j is None:
-        return rows
-    if not (0 <= j <= k + 1):
-        raise IndexOutOfRange(f"row index {j} outside 0..{k + 1}")
-    return rows[j]
 
 
 def _pendants(y) -> tuple[int, ...]:
@@ -135,7 +81,8 @@ def caterpillar_phi(y) -> int:
     v_j; it contains v_j, any of v_j's pendants, and either stops there or
     continues into a subtree through v_{j-1} on the left, so there are
     S_j = 2**y_j (1 + S_{j-1}) of them, with S_0 = 1 for the end leaf v_0.
-    S_j is the f_le column of component_counts. Runs ending at v_k may also
+    S_j is also the count of subtrees containing v_j in the component of v_j
+    left by deleting the spine edge v_j v_{j+1}. Runs ending at v_k may also
     take the end leaf v_{k+1}, which counts S_k once more:
 
         phi = (n - k) + S_1 + ... + S_k + S_k

@@ -29,10 +29,6 @@ class VertexOutOfRange(TreextremalError, IndexError):
     """Vertex argument does not name a vertex of the tree."""
 
 
-class IndexOutOfRange(TreextremalError, IndexError):
-    """Spine index outside the valid range for the caterpillar."""
-
-
 class EmptySpine(TreextremalError, ValueError):
     """Caterpillar construction needs at least one spine vertex."""
 

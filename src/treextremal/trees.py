@@ -133,16 +133,21 @@ def is_caterpillar(t: Tree) -> bool:
     The non-leaf vertices of a tree always induce a subtree, so it suffices
     to check that each of them has at most two non-leaf neighbors.
     """
-    internal = [v for v in range(t.n) if len(t.adjacency[v]) >= 2]
-    for v in internal:
-        if sum(1 for w in t.adjacency[v] if len(t.adjacency[w]) >= 2) > 2:
-            return False
+    adjacency = t.adjacency
+    internal = [len(a) >= 2 for a in adjacency]
+    for is_internal, a in zip(internal, adjacency):
+        if is_internal:
+            internal_neighbors = 0
+            for w in a:
+                internal_neighbors += internal[w]
+            if internal_neighbors > 2:
+                return False
     return True
 
 
 def tree_from_edge_list(text: str) -> Tree:
     """Parse the edge-list format: first line n, then n-1 lines "u v"."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty edge-list document")
     try:

@@ -1,8 +1,13 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from treextremal import cli
 from treextremal.cli import main
+from treextremal.prufer import prufer_decode
+from treextremal.trees import path_tree, star_tree
 
 
 @pytest.fixture
@@ -35,6 +40,51 @@ def test_count_tree_file(run, tmp_path):
     doc = json.loads(out)
     assert doc["results"]["phi"] == "10"
     assert doc["results"]["wiener"] == "10"
+
+
+def _edge_file(tmp_path, n, edges) -> str:
+    f = tmp_path / "tree.txt"
+    f.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return str(f)
+
+
+def _broom_edges(n, handle):
+    """A path on `handle` vertices with the other n - handle as leaves of its end."""
+    return [(i, i + 1) for i in range(handle - 1)] + [(handle - 1, v) for v in range(handle, n)]
+
+
+GOLDEN_COUNT_TREES = {
+    "path-2000": lambda: (2000, path_tree(2000).edges),
+    "broom-1416": lambda: (1416, _broom_edges(1416, 708)),
+    "star-500": lambda: (500, star_tree(500).edges),
+    "pruefer-1000": lambda: (
+        1000,
+        prufer_decode([random.Random(1000).randrange(1000) for _ in range(998)], 1000).edges,
+    ),
+}
+
+# sha256 of json.dumps(results, sort_keys=True) for the results block of each
+# count document, frozen from the two-sweep implementation that preceded the
+# exact-division rerooting.
+GOLDEN_COUNT_RESULTS = {
+    "path-2000": "2a07b7ef8c1cd084d5db7bc169d37722fb09676062fc026f9fcca720b341ed3d",
+    "broom-1416": "dcde6914a21beb6e30d7ac3a41d80e54328102806618003f1060b0f6254e0d3c",
+    "star-500": "a12d0c8694fffa0cd9b62fe85e1c8909bbb02d5096058b642438d06f755a77d3",
+    "pruefer-1000": "7dcea41e577c4c989a0d50d4ab518963fcb618bb296cfff83d1b77ad16113e6a",
+    "caterpillar-6,0,1,1,1": "fe0838d691d785f37d90e420456eee9787217b287916aca53a04032cf6786554",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNT_RESULTS))
+def test_count_results_golden_digests(run, tmp_path, name):
+    if name in GOLDEN_COUNT_TREES:
+        argv = ("count", _edge_file(tmp_path, *GOLDEN_COUNT_TREES[name]()))
+    else:
+        argv = ("count", "--caterpillar", name.split("-", 1)[1])
+    code, out, _ = run(*argv)
+    assert code == 0
+    results = json.dumps(json.loads(out)["results"], sort_keys=True)
+    assert hashlib.sha256(results.encode()).hexdigest() == GOLDEN_COUNT_RESULTS[name]
 
 
 def test_count_malformed_file(run, tmp_path):
@@ -295,6 +345,28 @@ def test_output_to_file(run, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["results"]["phi"] == "17"
+
+
+def test_main_reuses_one_parser(run, tmp_path, monkeypatch):
+    f = tmp_path / "p4.txt"
+    f.write_text("4\n0 1\n1 2\n2 3\n")
+    calls = [
+        ("count", str(f)),
+        ("extremal", "--degseq", "3,3,1,1"),
+        ("verify", "thm-4.1", "--max-n", "6"),
+        ("count",),  # rejected by the parser itself
+        ("count", str(f)),
+    ]
+    first = [run(*argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 0]
+    assert "usage:" in first[3][2]
+    assert first[4] == first[0]
+
+    def no_rebuild():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    assert [run(*argv) for argv in calls] == first
 
 
 def test_byte_identical_reruns(run):

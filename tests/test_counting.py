@@ -14,10 +14,8 @@ from treextremal.caterpillars import caterpillar_build
 from treextremal.counting import (
     brute_force_count,
     caterpillar_phi,
-    component_counts,
     count_all_containing,
     count_subtrees,
-    count_subtrees_containing,
     wiener_index,
 )
 from treextremal.counting import _down_counts
@@ -26,12 +24,18 @@ from treextremal.enumeration import (
     enumerate_degree_sequences,
     enumerate_trees,
 )
-from treextremal.errors import EmptySpine, IndexOutOfRange, TooLarge, VertexOutOfRange
+from treextremal.errors import EmptySpine, TooLarge, VertexOutOfRange
 from treextremal.prufer import prufer_decode
 from treextremal.trees import Tree, bfs, path_tree, star_tree
 
 FORK = caterpillar_build((1, 0))  # spine 0-1-2-3, pendant 4 at vertex 1
 SPIDER = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+def count_subtrees_containing(t, v):
+    """Per-vertex oracle for count_all_containing: root the DP at v itself,
+    so the count of subtrees containing v is the root's rooted count."""
+    return _down_counts(t, v)[0][v]
 
 
 def all_trees_up_to(max_n):
@@ -93,6 +97,24 @@ def test_rerooting_agrees_with_per_vertex():
             assert table[v] == count_subtrees_containing(t, v)
 
 
+def test_rerooting_on_large_trees():
+    # Exact division on counts of up to about 2**1000, against the DP rooted
+    # at each of 20 sampled vertices per tree, the hub and two leaves among them.
+    rng = random.Random(2012)
+    broom = Tree(1416, [(i, i + 1) for i in range(707)] + [(707, v) for v in range(708, 1416)])
+    pruefer = prufer_decode([rng.randrange(1000) for _ in range(998)], 1000)
+    caterpillar = caterpillar_build(tuple(rng.randint(0, 9) for _ in range(120)))
+    for t in (path_tree(2000), star_tree(300), broom, pruefer, caterpillar):
+        table = count_all_containing(t)
+        hub = max(range(t.n), key=lambda v: len(t.adjacency[v]))
+        leaves = t.leaves()
+        sample = {hub, leaves[0], leaves[-1]}
+        while len(sample) < 20:
+            sample.add(rng.randrange(t.n))
+        for v in sample:
+            assert table[v] == count_subtrees_containing(t, v), (t.n, v)
+
+
 def test_leaf_bound():
     # For a leaf u with neighbor w: f(u) = 1 + f of w in the tree minus u.
     for t in all_trees_up_to(8):
@@ -140,15 +162,6 @@ def test_containing_set_matches_oracle():
             assert table[v] == count_subtrees_containing(t, v) == oracle_containing_set(t, [v])
 
 
-def test_component_count_rows():
-    rows = component_counts((1, 0, 0))
-    assert rows == [(1, 1, 1), (2, 4, 8), (1, 5, 3), (1, 6, 2), (1, 1, 1)]
-    assert component_counts((1, 0, 0), 0) == (1, 1, 1)
-    assert component_counts((1, 0, 0), 1) == (2, 4, 8)
-    with pytest.raises(IndexOutOfRange):
-        component_counts((1, 0, 0), 5)
-
-
 def test_caterpillar_phi_on_every_class_up_to_14():
     # Every caterpillar class of every degree sequence with n <= 14, in both
     # orientations, against the DP and the oracle on the built tree.
@@ -180,8 +193,10 @@ def test_caterpillar_phi_is_the_f_le_sum():
     for _ in range(200):
         y = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 8)))
         k, n = len(y), len(y) + 2 + sum(y)
-        rows = component_counts(y)
-        f_le = [rows[j][1] for j in range(1, k + 1)]
+        t = caterpillar_build(y)
+        # f_le(j) counts the subtrees containing v_j once the spine edge
+        # v_j v_{j+1} is deleted.
+        f_le = [_component_containing(t, j, banned_edge=(j, j + 1)) for j in range(1, k + 1)]
         assert caterpillar_phi(y) == n - k + sum(f_le) + f_le[-1]
 
 
@@ -194,22 +209,6 @@ def test_caterpillar_phi_golden_values_and_rejections():
     for bad in [(), (1, -1)]:
         with pytest.raises(EmptySpine):
             caterpillar_phi(bad)
-
-
-def test_component_counts_match_direct_computation():
-    # Check every row against counts on the explicitly materialized
-    # components, for a spread of caterpillars.
-    for y in [(1, 0, 0), (2, 1, 0), (0, 3), (2,), (1, 2, 0, 1), (0, 0, 0, 0)]:
-        t = caterpillar_build(y)
-        k = len(y)
-        rows = component_counts(y)
-        for j in range(1, k + 1):
-            assert rows[j][0] == 2 ** y[j - 1]
-            # left component: drop the spine edge (j, j+1)
-            left = _component_containing(t, j, banned_edge=(j, j + 1))
-            assert rows[j][1] == left
-            right = _component_containing(t, j, banned_edge=(j - 1, j))
-            assert rows[j][2] == right
 
 
 def _component_containing(t, v, banned_edge):
