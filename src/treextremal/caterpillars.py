@@ -47,7 +47,8 @@ def caterpillar_from_tree(t: Tree) -> tuple[int, ...] | None:
 
     Returns None when t is not a caterpillar, or when it has no internal
     vertices (n <= 2) and therefore no C(y) form. The spine is the interior
-    of a longest path, found by the double sweep that diameter uses.
+    of a longest path, found by a double sweep: the last vertex a BFS
+    visits is an end of a longest path, and a BFS from it finds the other.
     """
     if t.n <= 2 or not is_caterpillar(t):
         return None

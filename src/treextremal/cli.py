@@ -4,9 +4,16 @@ Subcommands: count, extremal, enumerate, verify. Output is a JSON document
 (CSV for enumerate tables on request) in which every subtree/Wiener count is
 a decimal string, since the values outgrow JSON numbers fast. Exit codes are
 a stable contract: 0 success or verified pass, 1 verification failure,
-2 invalid input, 3 budget exceeded, 4 internal inconsistency (two routes
-to the same answer disagree: a bug, never a counterexample). main builds
-its parser once per process, on its first call.
+2 invalid input, 3 budget exceeded or out of memory, 4 internal
+inconsistency (two routes to the same answer disagree: a bug, never a
+counterexample). main builds its parser once per process, on its first
+call.
+
+Every JSON document is written by one writer whose bytes are those of
+json.dumps(document, indent=2). `count` reads all its fields off one rooted
+traversal, makes the decimal text of each distinct per-vertex count once,
+and hands the list to the writer as _Digits, which it joins without
+escaping.
 """
 
 import argparse
@@ -19,12 +26,12 @@ import sys
 
 from .caterpillars import caterpillar_build, caterpillar_from_tree
 from .canonical import canonical_form
-from .counting import count_all_containing, count_subtrees, wiener_index
+from .counting import _down_counts, _reroot, _wiener, count_subtrees, wiener_index
 from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
 from .errors import BudgetExceeded, InternalInconsistency, ParseError, TooLarge, TreextremalError
 from .extremal import METHODS, find_max_subtrees, find_min_subtrees
-from .trees import diameter, is_caterpillar, tree_from_edge_list
+from .trees import _diameter, is_caterpillar, tree_from_edge_list
 from .verify import CLAIM_IDS, FAIL, run_claim
 
 SCHEMA_VERSION = "1"
@@ -52,6 +59,38 @@ def _document(command: str, inputs: dict, results) -> dict:
     }
 
 
+class _Digits(list):
+    """A list of decimal digit strings: _json_pieces writes it without escaping."""
+
+
+def _json_pieces(value, indent: str = "", out: list[str] | None = None) -> list[str]:
+    """The text of json.dumps(value, indent=2) as a list of pieces, with
+    `indent` the indentation value starts at.
+
+    Dicts are laid out here, each key going through json. A _Digits list is
+    joined in one step, as its items need no escaping. Anything else is
+    json.dumps(value, indent=2) with every line break re-indented, which is
+    exact because json never writes a raw line break inside a string. The
+    pieces are written as they are, so no large string is copied again.
+    """
+    if out is None:
+        out = []
+    if isinstance(value, _Digits) and value:
+        inner = indent + "  "
+        out += (f'[\n{inner}"', f'",\n{inner}"'.join(value), f'"\n{indent}]')
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{\n"
+        for k, v in value.items():
+            out.append(f"{sep}{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: ")
+            _json_pieces(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{indent}}}")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+    return out
+
+
 def _emit(args, document: dict, csv_rows: list[dict] | None = None) -> None:
     """Write the document as JSON, or csv_rows as CSV when they are given."""
     if csv_rows is not None:
@@ -59,14 +98,15 @@ def _emit(args, document: dict, csv_rows: list[dict] | None = None) -> None:
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else [])
         writer.writeheader()
         writer.writerows(csv_rows)
-        text = buf.getvalue()
+        pieces = [buf.getvalue()]
     else:
-        text = json.dumps(document, indent=2) + "\n"
+        pieces = _json_pieces(document)
+        pieces.append("\n")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _budget(args) -> EnumerationBudget:
@@ -115,17 +155,24 @@ def cmd_count(args) -> int:
         with open(args.tree_file) as fh:
             t = tree_from_edge_list(fh.read())
         source = {"tree_file": args.tree_file}
-    per_vertex = count_all_containing(t)
-    results = {
-        "n": t.n,
-        "phi": str(count_subtrees(t)),
-        "per_vertex": [str(v) for v in per_vertex],
-        "diameter": diameter(t),
-        "is_caterpillar": is_caterpillar(t),
-        "wiener": str(wiener_index(t)),
-    }
-    _emit(args, _document("count", source, results))
+    _emit(args, _document("count", source, _count_results(t)))
     return EXIT_OK
+
+
+def _count_results(t) -> dict:
+    """Every field of a count document, read off one rooted traversal. The
+    integers are dropped on return, before the document is written."""
+    down, order, parent = _down_counts(t, 0)
+    per_vertex = _reroot(down, order, parent)
+    text = {v: str(v) for v in set(per_vertex)}  # leaves sharing a neighbour share a count
+    return {
+        "n": t.n,
+        "phi": str(sum(down)),
+        "per_vertex": _Digits(map(text.__getitem__, per_vertex)),
+        "diameter": _diameter(order, parent),
+        "is_caterpillar": is_caterpillar(t),
+        "wiener": str(_wiener(order, parent)),
+    }
 
 
 def cmd_extremal(args) -> int:
@@ -256,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (BudgetExceeded, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -13,6 +13,12 @@ Two independent routes are kept on purpose:
   shares no recursion with the DP. It is the oracle the test suite holds
   everything else against.
 
+The rerooting and the Wiener index are each written once, as a private
+helper over a rooted traversal (order, parent), and the public functions
+run them on a BFS of their own. `treextremal count` instead takes one
+_down_counts traversal and reads phi, every per-vertex count, the Wiener
+index and (trees._diameter) the diameter off it.
+
 caterpillar_phi counts a caterpillar straight from its pendant vector in
 O(k), with no Tree; the caterpillar search in extremal runs the same
 recurrence down each prefix of its branch and bound and recounts each
@@ -58,7 +64,11 @@ def count_all_containing(t: Tree) -> list[int]:
 
         result[c] = down[c] * (1 + result[p] // (1 + down[c]))
     """
-    down, order, parent = _down_counts(t, 0)
+    return _reroot(*_down_counts(t, 0))
+
+
+def _reroot(down: list[int], order: list[int], parent: list[int]) -> list[int]:
+    """count_all_containing from the rooted counts of a traversal."""
     result = down[:]
     for v in order[1:]:
         d = down[v]
@@ -143,9 +153,16 @@ def wiener_index(t: Tree) -> int:
     is, over edges, s (n - s) with s the vertex count on one side.
     """
     order, parent, _ = bfs(t, 0)
-    size = [1] * t.n
+    return _wiener(order, parent)
+
+
+def _wiener(order: list[int], parent: list[int]) -> int:
+    """wiener_index from a traversal: subtree sizes, children first."""
+    n = len(order)
+    size = [1] * n
     total = 0
     for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-        total += size[v] * (t.n - size[v])
+        s = size[v]
+        size[parent[v]] += s
+        total += s * (n - s)
     return total

@@ -4,8 +4,14 @@ A tree on n vertices is stored as a sorted tuple of n - 1 undirected edges
 (u, v) with u < v. Construction validates everything once (label range, no
 loops or duplicates, connectivity); after that a Tree is immutable and safe
 to share between threads.
+
+The diameter is one height pass over a single BFS (_diameter takes the
+traversal, so `treextremal count` reuses the one its counts come from).
+The edge-list parser converts every edge in one pass and re-reads the
+lines one by one only to name the first bad one.
 """
 
+from operator import add
 from typing import Iterable
 
 from .errors import InvalidTree, ParseError, VertexOutOfRange
@@ -121,10 +127,31 @@ def bfs(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def diameter(t: Tree) -> int:
-    """Length of a longest path, via the double-sweep trick: the last vertex
-    a BFS visits is farthest from its root, and is an end of a longest path."""
-    far = bfs(t, 0)[0][-1]
-    return max(bfs(t, far)[2])
+    """Length of a longest path, from one BFS rooted at 0 (see _diameter)."""
+    order, parent, _ = bfs(t, 0)
+    return _diameter(order, parent)
+
+
+def _diameter(order: list[int], parent: list[int]) -> int:
+    """Diameter from a rooted traversal (parents before children).
+
+    A longest path turns at its vertex closest to the root, so it is the
+    largest sum, over vertices, of the two tallest branches hanging below
+    one vertex. Children come before parents in the reversed order, so each
+    vertex's height is final before it is offered to its parent.
+    """
+    n = len(order)
+    tallest = [0] * n  # edges on the longest downward path from v
+    second = [0] * n  # the same through a different child (0 if none)
+    for v in reversed(order[1:]):
+        h = tallest[v] + 1
+        p = parent[v]
+        if h > tallest[p]:
+            second[p] = tallest[p]
+            tallest[p] = h
+        elif h > second[p]:
+            second[p] = h
+    return max(map(add, tallest, second))
 
 
 def is_caterpillar(t: Tree) -> bool:
@@ -154,8 +181,18 @@ def tree_from_edge_list(text: str) -> Tree:
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"first line must be the vertex count, got {lines[0]!r}") from None
+    try:
+        edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:])]
+    except ValueError:
+        edges = _edges_line_by_line(lines[1:])
+    return Tree(n, edges)
+
+
+def _edges_line_by_line(lines: list[str]) -> list[tuple[int, int]]:
+    """The edges of nonblank stripped lines, or a ParseError naming the
+    first line that is not two integers."""
     edges = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {ln!r}")
@@ -164,4 +201,4 @@ def tree_from_edge_list(text: str) -> Tree:
         except ValueError:
             raise ParseError(f"non-integer endpoint in {ln!r}") from None
         edges.append((u, v))
-    return Tree(n, edges)
+    return edges

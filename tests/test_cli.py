@@ -6,8 +6,9 @@ import pytest
 
 from treextremal import cli
 from treextremal.cli import main
+from treextremal.counting import brute_force_count, count_all_containing, count_subtrees, wiener_index
 from treextremal.prufer import prufer_decode
-from treextremal.trees import path_tree, star_tree
+from treextremal.trees import Tree, bfs, diameter, path_tree, star_tree
 
 
 @pytest.fixture
@@ -376,3 +377,133 @@ def test_byte_identical_reruns(run):
     v1 = run("verify", "thm-3.5", "--max-n", "9")
     v2 = run("verify", "thm-3.5", "--max-n", "9")
     assert v1 == v2
+
+
+def test_out_of_memory_is_exit_3_without_a_traceback(run, monkeypatch):
+    def exhausted(y):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "caterpillar_build", exhausted)
+    code, out, err = run("count", "--caterpillar", "100000000")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
+def _failing_report(*_):
+    from treextremal.verify import FAIL, VerificationReport
+
+    failures = [
+        {"degree_sequence": [3, 3, 1, 1, 1, 1], "witnesses": ["(()())", "((()))"],
+         "expected": "all minimizers are caterpillars", "observed": "1 non-caterpillar minimizer(s)"},
+        {"degree_sequence": [], "witnesses": [], "expected": "", "observed": "é\"\\"},
+    ]
+    findings = {"table": [[1, "2"], []], "empty": {}, "nested": {"k": {"x": None, "y": True}},
+                "ratio": "3/4", "count": 0}
+    return VerificationReport("thm-2.1", {"max_n": 6}, 7, failures, FAIL, findings)
+
+
+WRITER_COMMANDS = {
+    "count-file": lambda tmp: ("count", _edge_file(tmp, 40, _broom_edges(40, 12))),
+    "count-caterpillar": lambda tmp: ("count", "--caterpillar", "6,0,1,1,1"),
+    "count-odd-file-name": lambda tmp: ("count", _named_file(tmp, 'trée "φ" \\ 1.txt')),
+    "extremal-edges": lambda tmp: (
+        "extremal", "--degseq", "3,2,2,2,1,1,1", "--objective", "max", "--method", "brute"
+    ),
+    "extremal-caterpillar": lambda tmp: ("extremal", "--degseq", "4,3,3,2,1*6"),
+    "enumerate": lambda tmp: ("enumerate", "--degseq", "3,3,2,2,1*4"),
+    "verify-failures-findings": lambda tmp: ("verify", "thm-2.1", "--max-n", "6"),
+    "verify-findings": lambda tmp: ("verify", "wiener-correspondence", "--max-n", "6"),
+}
+
+
+def _named_file(tmp_path, name) -> str:
+    f = tmp_path / name
+    f.write_text("3\n0 1\n1 2\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_COMMANDS))
+def test_writer_bytes_are_json_dumps_indent_2(run, tmp_path, monkeypatch, name):
+    if "failures" in name:
+        monkeypatch.setattr(cli, "run_claim", _failing_report)
+    code, out, err = run(*WRITER_COMMANDS[name](tmp_path))
+    assert code == (1 if "failures" in name else 0), err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": ()},
+        cli._Digits(),
+        {"per_vertex": cli._Digits(["7", "12", "10"]), "n": 3},
+        [cli._Digits(["1"]), cli._Digits()],
+        {"s": "é\"\\\n\t\x00", "φ\"\\": ["x"], "n": None, "t": True, "f": False},
+        {"a": {"b\n": [[1, 2], {"c": "x\ny", "d": cli._Digits(["5"])}], "e": cli._Digits(["6", "7"])}},
+        {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+        {"big": 2**3000, "neg": -17, "float": 0.1, "tuple": (1, (2, 3))},
+        _failing_report().to_payload(),
+    ],
+)
+def test_writer_matches_json_dumps(value):
+    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
+
+
+def _double_sweep_diameter(t):
+    """The last vertex a BFS visits is an end of a longest path."""
+    far = bfs(t, 0)[0][-1]
+    return max(bfs(t, far)[2])
+
+
+def _all_pairs_wiener(t):
+    return sum(sum(bfs(t, v)[2]) for v in range(t.n)) // 2
+
+
+def _oracle_containing(t, v):
+    """Subtrees through v by subset growth alone: phi(T) minus the subtrees
+    of each component of T - v."""
+    total = brute_force_count(t)
+    for start in t.adjacency[v]:
+        side, stack = {start}, [start]
+        while stack:
+            for w in t.adjacency[stack.pop()]:
+                if w != v and w not in side:
+                    side.add(w)
+                    stack.append(w)
+        label = {w: i for i, w in enumerate(sorted(side))}
+        total -= brute_force_count(
+            Tree(len(side), [(label[a], label[b]) for a, b in t.edges if a in side and b in side])
+        )
+    return total
+
+
+def _seeded_trees():
+    rng = random.Random(2024)
+    yield Tree(1, [])
+    yield path_tree(2)
+    for n in (3, 5, 8, 12, 40):
+        yield path_tree(n)
+        yield star_tree(n)
+        yield Tree(n, _broom_edges(n, max(2, n // 3)))
+    for n in list(range(3, 13)) * 3 + [30, 60, 90]:
+        yield prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+def test_count_fields_match_oracles(run, tmp_path):
+    """Every field of a count document is read off one rooted traversal.
+    Each is held against the public function for it and against a route
+    that shares none of its code: a double sweep, all-pairs BFS and, for
+    n <= 12, subset growth."""
+    for t in _seeded_trees():
+        code, out, _ = run("count", _edge_file(tmp_path, t.n, t.edges))
+        assert code == 0
+        results = json.loads(out)["results"]
+        per_vertex = [int(x) for x in results["per_vertex"]]
+        assert results["diameter"] == diameter(t) == _double_sweep_diameter(t)
+        assert int(results["wiener"]) == wiener_index(t) == _all_pairs_wiener(t)
+        assert per_vertex == count_all_containing(t)
+        assert int(results["phi"]) == count_subtrees(t)
+        if t.n <= 12:
+            assert int(results["phi"]) == brute_force_count(t)
+            assert per_vertex == [_oracle_containing(t, v) for v in range(t.n)]

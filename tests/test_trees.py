@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from treextremal.errors import InvalidTree, ParseError, VertexOutOfRange
@@ -117,3 +119,50 @@ def test_bfs_order_parents_and_distances():
     assert bfs(Tree(1, []), 0) == ([0], [-1], [0])
     with pytest.raises(VertexOutOfRange):
         bfs(t, 6)
+
+
+# (edge-list text, the Tree it parses to or the (error type, message) it is
+# refused with). Frozen from the line-by-line parser, before edges were
+# converted in one pass; a bad line is named as the first one found.
+EDGE_LIST_TABLE = [
+    ("crlf", "3\r\n0 1\r\n1 2\r\n", Tree(3, [(0, 1), (1, 2)])),
+    ("tabs", "3\n0\t1\n\t1  \t2\t\n", Tree(3, [(0, 1), (1, 2)])),
+    ("leading blank line", "\n  \n3\n0 1\n1 2\n", Tree(3, [(0, 1), (1, 2)])),
+    ("blank lines between edges", "4\n0 1\n\n \t\n1 2\n\n2 3", Tree(4, [(0, 1), (1, 2), (2, 3)])),
+    ("single vertex", "1\n", Tree(1, [])),
+    ("empty", "", (ParseError, "empty edge-list document")),
+    ("only blank lines", "\n \r\n\t\n", (ParseError, "empty edge-list document")),
+    ("bad vertex count", "x\n0 1\n", (ParseError, "first line must be the vertex count, got 'x'")),
+    ("one token", "3\n0 1\n2\n", (ParseError, "expected 'u v', got '2'")),
+    ("three tokens", "3\n0 1 2\n1 2\n", (ParseError, "expected 'u v', got '0 1 2'")),
+    ("non-integer token", "3\n0 1\n1 a\n", (ParseError, "non-integer endpoint in '1 a'")),
+    ("first bad line wins", "4\n0 1\n1 x\n7\n", (ParseError, "non-integer endpoint in '1 x'")),
+    ("label too large", "3\n0 1\n1 3\n", (InvalidTree, "edge (1, 3) has a label outside 0..2")),
+    ("negative label", "3\n0 1\n-1 2\n", (InvalidTree, "edge (-1, 2) has a label outside 0..2")),
+    ("self-loop", "3\n0 1\n2 2\n", (InvalidTree, "self-loop at vertex 2")),
+    ("duplicate edge", "3\n0 1\n1 0\n", (InvalidTree, "duplicate edge")),
+    ("too few edges", "4\n0 1\n1 2\n", (InvalidTree, "expected 3 edges for n=4, got 2")),
+    ("too many edges", "3\n0 1\n1 2\n0 2\n", (InvalidTree, "expected 2 edges for n=3, got 3")),
+    ("zero vertices", "0\n", (InvalidTree, "vertex count must be >= 1, got 0")),
+]
+
+
+@pytest.mark.parametrize("text, expected", [row[1:] for row in EDGE_LIST_TABLE],
+                         ids=[row[0] for row in EDGE_LIST_TABLE])
+def test_edge_list_table(text, expected, tmp_path, capsys):
+    from treextremal.cli import main
+
+    path = tmp_path / "tree.txt"
+    path.write_bytes(text.encode())
+    code = main(["count", str(path)])
+    out, err = capsys.readouterr()
+    if isinstance(expected, Tree):
+        assert tree_from_edge_list(text) == expected
+        assert code == 0
+        assert json.loads(out)["results"]["n"] == expected.n
+    else:
+        error, message = expected
+        with pytest.raises(error) as caught:
+            tree_from_edge_list(text)
+        assert str(caught.value) == message
+        assert (code, out, err) == (2, "", f"error: {message}\n")
