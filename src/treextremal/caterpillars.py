@@ -20,18 +20,24 @@ def caterpillar_canonical(y) -> tuple[int, ...]:
     return forward if forward >= backward else backward
 
 
+def _pendant_vector(y) -> tuple[int, ...]:
+    """y as a tuple of ints, or EmptySpine unless it is nonempty and >= 0."""
+    y = tuple(map(int, y))
+    if not y:
+        raise EmptySpine("caterpillar needs at least one internal vertex")
+    if min(y) < 0:
+        raise EmptySpine(f"pendant counts must be >= 0: {y}")
+    return y
+
+
 def caterpillar_build(y) -> Tree:
     """Materialize C(y_1, ..., y_k) with deterministic labels.
 
     Spine vertices get labels 0..k+1 (so v_j is label j); pendants follow in
     spine order starting at k+2.
     """
-    y = tuple(int(v) for v in y)
+    y = _pendant_vector(y)
     k = len(y)
-    if k == 0:
-        raise EmptySpine("caterpillar needs at least one internal vertex")
-    if any(v < 0 for v in y):
-        raise EmptySpine(f"pendant counts must be >= 0: {y}")
     n = k + 2 + sum(y)
     edges = [(j, j + 1) for j in range(k + 1)]
     nxt = k + 2

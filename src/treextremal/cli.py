@@ -196,29 +196,19 @@ def cmd_extremal(args) -> int:
 def cmd_enumerate(args) -> int:
     ds = parse_degree_sequence(args.degseq)
     budget = _budget(args)
-    rows = []
     if args.caterpillars_only:
-        for y in enumerate_caterpillars(ds, budget):
-            t = caterpillar_build(y)
-            rows.append(
-                {
-                    "canonical_code": canonical_form(t),
-                    "y_vector": list(y),
-                    "phi": str(count_subtrees(t)),
-                    "wiener": str(wiener_index(t)),
-                }
-            )
+        pairs = ((caterpillar_build(y), y) for y in enumerate_caterpillars(ds, budget))
     else:
-        for t in enumerate_trees(ds, budget):
-            y = caterpillar_from_tree(t)
-            rows.append(
-                {
-                    "canonical_code": canonical_form(t),
-                    "y_vector": list(y) if y is not None else None,
-                    "phi": str(count_subtrees(t)),
-                    "wiener": str(wiener_index(t)),
-                }
-            )
+        pairs = ((t, caterpillar_from_tree(t)) for t in enumerate_trees(ds, budget))
+    rows = [
+        {
+            "canonical_code": canonical_form(t),
+            "y_vector": list(y) if y is not None else None,
+            "phi": str(count_subtrees(t)),
+            "wiener": str(wiener_index(t)),
+        }
+        for t, y in pairs
+    ]
     inputs = {"degseq": args.degseq, "caterpillars_only": args.caterpillars_only}
     csv_rows = None
     if args.format == "csv":

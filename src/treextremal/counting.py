@@ -25,7 +25,8 @@ recurrence down each prefix of its branch and bound and recounts each
 winner with count_subtrees.
 """
 
-from .errors import EmptySpine, TooLarge
+from .caterpillars import _pendant_vector
+from .errors import TooLarge
 from .trees import Tree, bfs
 
 
@@ -76,13 +77,6 @@ def _reroot(down: list[int], order: list[int], parent: list[int]) -> list[int]:
     return result
 
 
-def _pendants(y) -> tuple[int, ...]:
-    y = tuple(y)
-    if not y or min(y) < 0:
-        raise EmptySpine(f"pendant counts must be a nonempty vector of values >= 0: {y}")
-    return y
-
-
 def caterpillar_phi(y) -> int:
     """phi(C(y)) in O(k) integer steps, without building the tree.
 
@@ -97,7 +91,7 @@ def caterpillar_phi(y) -> int:
 
         phi = (n - k) + S_1 + ... + S_k + S_k
     """
-    y = _pendants(y)
+    y = _pendant_vector(y)
     s = 1
     total = 0
     for v in y:

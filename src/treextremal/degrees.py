@@ -8,7 +8,7 @@ number of internal entries (those >= 2); entries k+1..n are all 1.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NotATreeSequence, ParseError
 
@@ -51,19 +51,6 @@ class DegreeSequence:
     @property
     def internal(self) -> tuple[int, ...]:
         return self.degrees[: self.k]
-
-    @property
-    def leaf_count(self) -> int:
-        return self.n - self.k
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __getitem__(self, i):
-        return self.degrees[i]
 
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.degrees)

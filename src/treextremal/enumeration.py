@@ -35,21 +35,25 @@ from .errors import BudgetExceeded, NoInternalVertices
 from .trees import Tree, star_tree
 
 
+# The largest order a full enumeration accepts, whatever the budget.
+_MAX_FULL_N = 16
+
+
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps enforced before generation begins.
+    """The cap on the candidates a search may generate.
 
-    max_labeled caps the candidates a search may generate: the free trees on
-    n vertices for a full enumeration, the pendant-vector arrangements for a
-    caterpillar enumeration, the prefixes a caterpillar search enters. max_n
-    caps the order of a full enumeration.
+    max_labeled caps the free trees on n vertices for a full enumeration and
+    the pendant-vector arrangements for a caterpillar enumeration, both
+    checked before generation begins, and the prefixes a caterpillar search
+    enters. A full enumeration is also refused past n = 16, whatever the
+    budget.
     """
 
     max_labeled: int = 10_000_000
-    max_n: int = 16
 
     def __post_init__(self):
-        if self.max_labeled < 1 or self.max_n < 1:
+        if self.max_labeled < 1:
             raise ValueError("budget caps must be positive")
 
 
@@ -160,8 +164,8 @@ def free_level_sequences(n: int) -> Iterator[list[int]]:
 def _check_full_budget(n: int, budget: EnumerationBudget, generating: bool = True) -> None:
     """Refuse a full enumeration on n vertices: always by the order cap,
     and by the predicted free-tree count when the trees are generated."""
-    if n > budget.max_n:
-        raise BudgetExceeded(f"n={n} exceeds full-enumeration cap {budget.max_n}", n)
+    if n > _MAX_FULL_N:
+        raise BudgetExceeded(f"n={n} exceeds full-enumeration cap {_MAX_FULL_N}", n)
     if not generating:
         return
     predicted = count_free_trees(n)

@@ -79,12 +79,6 @@ class ExtremalReport:
     method: str  # "brute" | "caterpillar" | "closed-form"
     trees_examined: int
 
-    def optimizer_y_set(self) -> set[tuple[int, ...]]:
-        return {o.y_vector for o in self.optimizers if o.y_vector is not None}
-
-    def optimizer_codes(self) -> list[str]:
-        return [o.canonical_code for o in self.optimizers]
-
 
 def _make_optimizer(t: Tree) -> Optimizer:
     return Optimizer(t, canonical_form(t), caterpillar_from_tree(t))
@@ -370,15 +364,13 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
                 method = "caterpillar"
         elif ds.k <= 5:
             value, ys = _closed_form_minimizers(ds)
-            search = _search(ds, objective, "caterpillar", budget)
-            if search.optimum != value or search.optimizer_y_set() != set(ys):
+            best, winners, trees, examined = _caterpillar_extremes(ds, budget, False)
+            if best != value or set(winners) != set(ys):
                 raise InternalInconsistency(
                     f"closed form disagrees with caterpillar search for {ds}: "
-                    f"formula {value}, search {search.optimum}"
+                    f"formula {value}, search {best}"
                 )
-            return ExtremalReport(
-                ds, objective, value, search.optimizers, "closed-form", search.trees_examined
-            )
+            return _report(ds, objective, value, trees, "closed-form", examined)
         else:
             method = "caterpillar"
     if method == "brute":

@@ -88,9 +88,28 @@ def _finish(claim, universe, instances, failures, findings=None, report_only=Fal
     )
 
 
-def _sequences(max_n: int, min_k: int, max_k: int):
+def _record(ds, witnesses, expected, observed, **extra) -> dict:
+    """One failure entry: the sequence, its witnesses, what the claim
+    expected and what the sweep observed, then any extra keys in order."""
+    return {
+        "degree_sequence": list(ds.degrees),
+        "witnesses": witnesses,
+        "expected": expected,
+        "observed": observed,
+        **extra,
+    }
+
+
+def _caterpillar_optima(
+    max_n: int, min_k: int, max_k: int, maximize: bool, budget: EnumerationBudget
+):
+    """(ds, optimum, winners) of the caterpillar search for every sequence
+    with 2 <= n <= max_n and min_k <= k <= max_k, winners as canonical
+    pendant vectors."""
     for n in range(2, max_n + 1):
-        yield from enumerate_degree_sequences(n, min_k, max_k)
+        for ds in enumerate_degree_sequences(n, min_k, max_k):
+            best, winners, _, _ = _caterpillar_extremes(ds, budget, maximize)
+            yield ds, best, winners
 
 
 def _realizations(max_n: int, budget: EnumerationBudget):
@@ -111,14 +130,9 @@ def verify_caterpillar_minimality(
         _, winners, _ = extremes(trees, count_subtrees)
         bad = [t for t in winners if not is_caterpillar(t)]
         if bad:
-            failures.append(
-                {
-                    "degree_sequence": list(ds.degrees),
-                    "witnesses": sorted(canonical_form(t) for t in bad),
-                    "expected": "all minimizers are caterpillars",
-                    "observed": f"{len(bad)} non-caterpillar minimizer(s)",
-                }
-            )
+            codes = sorted(canonical_form(t) for t in bad)
+            observed = f"{len(bad)} non-caterpillar minimizer(s)"
+            failures.append(_record(ds, codes, "all minimizers are caterpillars", observed))
     return _finish("thm-2.1", {"max_n": max_n}, instances, failures)
 
 
@@ -170,30 +184,16 @@ def verify_valley_shape(
     never decrease again; when d_2 > d_k the far end stays above the floor."""
     failures = []
     instances = 0
-    for ds in _sequences(max_n, min_k=3, max_k=max_k):
+    for ds, _, winners in _caterpillar_optima(max_n, 3, max_k, False, budget):
         instances += 1
         floor = ds.degrees[ds.k - 1] - 2
-        _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
         for y in winners:
             for z in _orientations(y):
                 if not _valley_ok(z, floor):
-                    failures.append(
-                        {
-                            "degree_sequence": list(ds.degrees),
-                            "witnesses": [list(z)],
-                            "expected": f"valley shape with floor {floor}",
-                            "observed": "no valid valley position",
-                        }
-                    )
+                    expected = f"valley shape with floor {floor}"
+                    failures.append(_record(ds, [list(z)], expected, "no valid valley position"))
                 if ds.degrees[1] > ds.degrees[ds.k - 1] and z[-1] <= floor:
-                    failures.append(
-                        {
-                            "degree_sequence": list(ds.degrees),
-                            "witnesses": [list(z)],
-                            "expected": f"last pendant count > {floor}",
-                            "observed": z[-1],
-                        }
-                    )
+                    failures.append(_record(ds, [list(z)], f"last pendant count > {floor}", z[-1]))
     return _finish("thm-3.5", {"max_n": max_n, "max_k": max_k, "min_k": 3}, instances, failures)
 
 
@@ -203,20 +203,13 @@ def verify_mountain_shape(
     """Maximizing caterpillars rise to a peak, then never increase again."""
     failures = []
     instances = 0
-    for ds in _sequences(max_n, min_k=3, max_k=max_k):
+    for ds, _, winners in _caterpillar_optima(max_n, 3, max_k, True, budget):
         instances += 1
-        _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=True)
         for y in winners:
             for z in _orientations(y):
                 if not _mountain_ok(z):
-                    failures.append(
-                        {
-                            "degree_sequence": list(ds.degrees),
-                            "witnesses": [list(z)],
-                            "expected": "mountain shape",
-                            "observed": "no valid peak position",
-                        }
-                    )
+                    observed = "no valid peak position"
+                    failures.append(_record(ds, [list(z)], "mountain shape", observed))
     return _finish(
         "thm-3.6-shape", {"max_n": max_n, "max_k": max_k, "min_k": 3}, instances, failures
     )
@@ -229,21 +222,16 @@ def verify_closed_forms(
     caterpillar minimum and the minimizer must be the stated tree, uniquely."""
     failures = []
     instances = 0
-    for ds in _sequences(max_n, min_k=2, max_k=4):
+    for ds, best, winners in _caterpillar_optima(max_n, 2, 4, False, budget):
         instances += 1
         value, stated = closed_form_phi(ds)
-        best, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
         observed = sorted(winners)
         expected = [caterpillar_canonical(stated)]
         if value != best or observed != expected:
-            failures.append(
-                {
-                    "degree_sequence": list(ds.degrees),
-                    "witnesses": [list(y) for y in observed],
-                    "expected": {"value": str(value), "minimizers": [list(expected[0])]},
-                    "observed": {"value": str(best), "minimizers": [list(y) for y in observed]},
-                }
-            )
+            ys = [list(y) for y in observed]
+            formula = {"value": str(value), "minimizers": [list(expected[0])]}
+            search = {"value": str(best), "minimizers": ys}
+            failures.append(_record(ds, ys, formula, search))
     return _finish("thm-4.1", {"max_n": max_n, "k_range": [2, 4]}, instances, failures)
 
 
@@ -259,20 +247,13 @@ def verify_trichotomy(
     failures = []
     instances = 0
     equality_instances = []
-    for ds in _sequences(max_n, min_k=5, max_k=5):
+    for ds, _, winners in _caterpillar_optima(max_n, 5, 5, False, budget):
         instances += 1
         case, predicted = predict_min_k5(ds)
-        _, winners, _, _ = _caterpillar_extremes(ds, budget, maximize=False)
         observed = set(winners)
         if observed != predicted:
-            failures.append(
-                {
-                    "degree_sequence": list(ds.degrees),
-                    "witnesses": sorted(list(y) for y in observed),
-                    "expected": sorted(list(y) for y in predicted),
-                    "observed": sorted(list(y) for y in observed),
-                }
-            )
+            seen = sorted(list(y) for y in observed)
+            failures.append(_record(ds, seen, sorted(list(y) for y in predicted), seen))
         if not case.d4_equals_d5 and case.lhs == case.rhs:
             equality_instances.append(list(ds.degrees))
     findings = {
@@ -299,11 +280,15 @@ def verify_transformation_monotonicity(
             trees_seen += 1
             phi = count_subtrees(t)
             # The caterpillar test and the diameter are per-tree facts, and
-            # the BFS from each leaf is shared by every y.
+            # the BFS from each leaf is shared by every y. Only a y with
+            # children to move and a leaf v_r can form a pair.
             diam = diameter(t)
             searches = {}
+            leaves = t.leaves()
             for y in range(t.n):
-                for v_r in range(t.n):
+                if len(t.adjacency[y]) < 2:
+                    continue
+                for v_r in leaves:
                     try:
                         ctx = _branch_shift_context(t, y, v_r, diam, searches)
                     except NotApplicable:
@@ -318,13 +303,13 @@ def verify_transformation_monotonicity(
                         decreased += 1
                     else:
                         failures.append(
-                            {
-                                "degree_sequence": list(ds.degrees),
-                                "witnesses": [canonical_form(t), canonical_form(shifted)],
-                                "expected": f"count below {phi}",
-                                "observed": str(phi2),
-                                "instance": {"y": y, "v_r": v_r},
-                            }
+                            _record(
+                                ds,
+                                [canonical_form(t), canonical_form(shifted)],
+                                f"count below {phi}",
+                                str(phi2),
+                                instance={"y": y, "v_r": v_r},
+                            )
                         )
     findings = {
         "non_caterpillar_trees": trees_seen,

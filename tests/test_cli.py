@@ -166,6 +166,46 @@ def test_enumerate_csv(run):
     assert any("1 0 0" in ln for ln in lines[1:])
 
 
+# sha256 of the whole stdout of `enumerate --degseq SEQ --format FMT`, with
+# and without --caterpillars-only, frozen from the implementation that built
+# the rows of the two enumerations in two separate loops. "0" has no
+# caterpillar form: --caterpillars-only is an input error with no output.
+GOLDEN_ENUMERATE_STDOUT = {
+    ("3,2,2,1,1,1", "json", False): "9e9e72b65fcd0512f5e183f1e46ee1ea748fb9c6d833046fce14af5933ed7405",
+    ("3,2,2,1,1,1", "json", True): "3ebb8fc433344ba10ad60b3a4d48471900d8c95f217284119eec1eb34bc5dbc6",
+    ("3,2,2,1,1,1", "csv", False): "01e8e175f0c240c449e368a5a068f9e426fbf81a3acfc77df85b4dcc5e77b42f",
+    ("3,2,2,1,1,1", "csv", True): "01e8e175f0c240c449e368a5a068f9e426fbf81a3acfc77df85b4dcc5e77b42f",
+    ("4,3,3,2,1*6", "json", False): "75130ca88b2d900caf8aeaf5de50fed82da157084d98ef20976e387e5031c8eb",
+    ("4,3,3,2,1*6", "json", True): "8e59b1681acc88aa58986e05c40fecc27d97ecbbd0c80149833138ffafdd2b37",
+    ("4,3,3,2,1*6", "csv", False): "9541d796236afa6aaddc8a366447824cc37cf77cb892e5b956f2f5c329167ec8",
+    ("4,3,3,2,1*6", "csv", True): "37b4cbfd5eebe0c0b6e033f95cb1b24f4fda170b7251ac544f8343be56b701e2",
+    ("2,1,1", "json", False): "07ba7435acce188c34c76ab0f5fe384175db1620d14195bf648569b135fd8ca0",
+    ("2,1,1", "json", True): "4e010f6647402bc3c883f89c54edc8d29b8b0e638f4150cf452f493db696a65e",
+    ("2,1,1", "csv", False): "b502aa49559054c0a5dcd8107e4f8bb2d5e11903a089536807bfb0c597d4de80",
+    ("2,1,1", "csv", True): "b502aa49559054c0a5dcd8107e4f8bb2d5e11903a089536807bfb0c597d4de80",
+    ("0", "json", False): "e0fde17aacb100b335dfd4be3c88d75fd6de5582dbc979855a53c60a64d97e1b",
+    ("0", "json", True): None,
+    ("0", "csv", False): "cbe96086c03e9482ab6bc87b8a740516de481344d1bbbd2798f04fd39c62d869",
+    ("0", "csv", True): None,
+}
+
+
+@pytest.mark.parametrize(
+    "degseq,fmt,caterpillars_only",
+    sorted(GOLDEN_ENUMERATE_STDOUT),
+    ids=lambda v: v if isinstance(v, str) else ("caterpillars" if v else "all"),
+)
+def test_enumerate_stdout_golden_digests(run, degseq, fmt, caterpillars_only):
+    argv = ["enumerate", "--degseq", degseq, "--format", fmt]
+    code, out, err = run(*argv + ["--caterpillars-only"] * caterpillars_only)
+    expected = GOLDEN_ENUMERATE_STDOUT[degseq, fmt, caterpillars_only]
+    if expected is None:
+        assert (code, out, err) == (2, "", f"error: no internal vertices in {degseq}\n")
+    else:
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_enumerate_budget_exceeded(run):
     code, _, err = run("enumerate", "--degseq", "2*16,1,1")
     assert code == 3

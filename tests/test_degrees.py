@@ -42,13 +42,13 @@ def test_k_and_internal():
     ds = parse_degree_sequence("8,3,3,3,2,1*11")
     assert ds.k == 5
     assert ds.internal == (8, 3, 3, 3, 2)
-    assert ds.leaf_count == 11
+    assert ds.n - ds.k == 11
     assert str(ds) == "8,3,3,3,2,1,1,1,1,1,1,1,1,1,1,1"
 
 
 def test_k_is_counted_once_outside_the_fields():
     a = parse_degree_sequence("4,3,2,1*5")
     b = parse_degree_sequence("4,3,2,1*5")
-    assert (a.k, a.internal, a.leaf_count) == (3, (4, 3, 2), 5)
+    assert (a.k, a.internal, a.n - a.k) == (3, (4, 3, 2), 5)
     assert "k" in vars(a) and "k" not in vars(b)  # cached on first access
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

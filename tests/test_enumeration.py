@@ -137,7 +137,7 @@ def test_budget_refusal():
     with pytest.raises(BudgetExceeded) as err:
         list(enumerate_trees(parse_degree_sequence("2*20,1,1")))  # n over cap
     assert err.value.predicted == 22
-    tiny = EnumerationBudget(max_labeled=5, max_n=16)
+    tiny = EnumerationBudget(max_labeled=5)
     with pytest.raises(BudgetExceeded) as err:
         list(enumerate_trees(DegreeSequence((2, 2, 2, 2, 1, 1)), tiny))
     assert err.value.predicted == count_free_trees(6) == 6

@@ -169,7 +169,7 @@ def test_trichotomy_difference_identity():
 def test_find_min_brute_reference():
     report = find_min_subtrees(DegreeSequence((3, 2, 2, 1, 1, 1)), "brute")
     assert report.optimum == 24
-    assert report.optimizer_y_set() == {(1, 0, 0)}
+    assert {o.y_vector for o in report.optimizers} == {(1, 0, 0)}
     assert report.method == "brute"
     assert report.trees_examined == 2
 
@@ -179,7 +179,7 @@ def test_find_min_path_sequences():
         ds = DegreeSequence((2,) * (n - 2) + (1, 1))
         report = find_min_subtrees(ds)
         assert report.optimum == n * (n + 1) // 2
-        assert report.optimizer_codes() == [canonical_form(path_tree(n))]
+        assert [o.canonical_code for o in report.optimizers] == [canonical_form(path_tree(n))]
 
 
 def test_find_min_big_instance_all_methods_agree():
@@ -189,7 +189,7 @@ def test_find_min_big_instance_all_methods_agree():
     closed = find_min_subtrees(ds, "closed-form")
     assert cat.optimum == auto.optimum == closed.optimum == 3142  # oracle-derived
     for report in (cat, auto, closed):
-        assert report.optimizer_y_set() == {(6, 0, 1, 1, 1)}
+        assert {o.y_vector for o in report.optimizers} == {(6, 0, 1, 1, 1)}
     assert auto.method == "closed-form"
     assert cat.method == "caterpillar"
     assert cat.trees_examined == 6  # of the 10 mirror classes; the seed is not counted
@@ -202,14 +202,15 @@ def test_find_min_methods_agree_everywhere_small():
             cats = find_min_subtrees(ds, "caterpillar") if ds.k >= 1 else brute
             auto = find_min_subtrees(ds)
             assert brute.optimum == cats.optimum == auto.optimum
-            assert brute.optimizer_codes() == cats.optimizer_codes()
-            assert brute.optimizer_codes() == auto.optimizer_codes()
+            codes = [o.canonical_code for o in brute.optimizers]
+            assert codes == [o.canonical_code for o in cats.optimizers]
+            assert codes == [o.canonical_code for o in auto.optimizers]
 
 
 def test_find_max_reference():
     report = find_max_subtrees(DegreeSequence((3, 2, 2, 1, 1, 1)))
     assert report.optimum == 25
-    assert report.optimizer_y_set() == {(0, 1, 0)}
+    assert {o.y_vector for o in report.optimizers} == {(0, 1, 0)}
     assert report.method == "brute"
 
 
@@ -244,8 +245,9 @@ def test_auto_max_falls_back_only_when_enumeration_refuses():
     assert star.optimum == 2**7 + 7
     ds = DegreeSequence((3, 2, 2, 1, 1, 1))
     assert find_max_subtrees(ds, budget=EnumerationBudget(max_labeled=5)).method == "caterpillar"
-    assert find_max_subtrees(ds, budget=EnumerationBudget(max_n=5)).method == "caterpillar"
     assert find_max_subtrees(ds, budget=EnumerationBudget(max_labeled=6)).method == "brute"
+    # n = 17 is past the full-enumeration order cap under any budget.
+    assert find_max_subtrees(parse_degree_sequence("3,2*13,1*3")).method == "caterpillar"
 
 
 def test_caterpillar_search_recounts_winners(monkeypatch):
@@ -342,9 +344,9 @@ def test_distinct_k12_min_is_answered_with_valley_winners():
     assert count_caterpillar_arrangements(ds) > DEFAULT_BUDGET.max_labeled
     report = find_min_subtrees(ds)
     assert report.method == "caterpillar"
-    assert report.optimizer_y_set() == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
+    assert {o.y_vector for o in report.optimizers} == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
     assert report.trees_examined == 990
-    for y in report.optimizer_y_set():
+    for y in {o.y_vector for o in report.optimizers}:
         for z in _orientations(y):
             assert _valley_ok(z, 0)
 
@@ -353,7 +355,7 @@ def test_node_cap_refuses_without_a_partial_optimum():
     ds = parse_degree_sequence(DISTINCT_12)
     # The seeded min search enters 11,224 prefixes, the root included.
     report = find_min_subtrees(ds, budget=EnumerationBudget(max_labeled=11_224))
-    assert report.optimizer_y_set() == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
+    assert {o.y_vector for o in report.optimizers} == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
     tight = EnumerationBudget(max_labeled=11_223)
     with pytest.raises(BudgetExceeded, match="budget 11223 after entering 11224 prefixes") as info:
         find_min_subtrees(ds, budget=tight)
@@ -398,7 +400,7 @@ def test_degenerate_sequences():
     two = find_max_subtrees(DegreeSequence((1, 1)))
     assert two.optimum == 3
     star = find_min_subtrees(DegreeSequence((4, 1, 1, 1, 1)))
-    assert star.optimum == 20 and star.optimizer_y_set() == {(2,)}
+    assert star.optimum == 20 and {o.y_vector for o in star.optimizers} == {(2,)}
 
 
 def test_optimizers_are_sorted_and_consistent():
@@ -407,7 +409,7 @@ def test_optimizers_are_sorted_and_consistent():
         parse_degree_sequence("4,3,3,2,2,1*6"),
     ]:
         for report in (find_min_subtrees(ds, "brute"), find_max_subtrees(ds, "brute")):
-            codes = report.optimizer_codes()
+            codes = [o.canonical_code for o in report.optimizers]
             assert codes == sorted(codes)
             assert len(set(codes)) == len(codes)
             for opt in report.optimizers:
