@@ -196,7 +196,7 @@ def cmd_extremal(args) -> int:
 def cmd_enumerate(args) -> int:
     ds = parse_degree_sequence(args.degseq)
     budget = _budget(args)
-    if args.caterpillars_only:
+    if args.caterpillars_only and ds.k:  # k = 0 has no pendant vector: list its tree
         pairs = ((caterpillar_build(y), y) for y in enumerate_caterpillars(ds, budget))
     else:
         pairs = ((t, caterpillar_from_tree(t)) for t in enumerate_trees(ds, budget))

@@ -165,15 +165,14 @@ def _check_full_budget(n: int, budget: EnumerationBudget, generating: bool = Tru
     """Refuse a full enumeration on n vertices: always by the order cap,
     and by the predicted free-tree count when the trees are generated."""
     if n > _MAX_FULL_N:
-        raise BudgetExceeded(f"n={n} exceeds full-enumeration cap {_MAX_FULL_N}", n)
+        raise BudgetExceeded(f"n={n} exceeds full-enumeration cap {_MAX_FULL_N}")
     if not generating:
         return
     predicted = count_free_trees(n)
     if predicted > budget.max_labeled:
         raise BudgetExceeded(
             f"predicted {predicted} free trees on {n} vertices exceeds "
-            f"budget {budget.max_labeled}",
-            predicted,
+            f"budget {budget.max_labeled}"
         )
 
 
@@ -261,24 +260,17 @@ def enumerate_caterpillars(
     no set of classes seen. The permutation count is checked against
     budget.max_labeled before the first one.
     """
-    _check_caterpillar_budget(ds, budget)
+    arrangements = count_caterpillar_arrangements(ds)
+    if arrangements > budget.max_labeled:
+        raise BudgetExceeded(
+            f"predicted {arrangements} caterpillar arrangements exceeds "
+            f"budget {budget.max_labeled}"
+        )
     pendants = [d - 2 for d in ds.internal]
     for perm in lexicographic_multiset_permutations(pendants):
         mirror = perm[::-1]
         if perm <= mirror:
             yield mirror
-
-
-def _check_caterpillar_budget(ds: DegreeSequence, budget: EnumerationBudget) -> None:
-    """Refuse a caterpillar enumeration whose arrangement count exceeds the
-    budget."""
-    arrangements = count_caterpillar_arrangements(ds)
-    if arrangements > budget.max_labeled:
-        raise BudgetExceeded(
-            f"predicted {arrangements} caterpillar arrangements exceeds "
-            f"budget {budget.max_labeled}",
-            arrangements,
-        )
 
 
 def count_caterpillar_arrangements(ds: DegreeSequence) -> int:

@@ -44,18 +44,10 @@ class TooLarge(TreextremalError, ValueError):
 class BudgetExceeded(TreextremalError, RuntimeError):
     """Enumeration or search cost exceeds the configured budget.
 
-    ``predicted`` carries the predicted candidate count (free trees on n
-    vertices, caterpillar arrangements for an enumeration of every class,
-    or the order n when it exceeds the order cap) so callers can report how
-    far over budget the request was. A caterpillar search is not predicted
-    but stopped: for its node cap, ``predicted`` is the number of prefixes
-    it had entered when it stopped (the budget plus one), a lower bound on
-    the search's size.
+    The message names the count that was over: the predicted free trees or
+    caterpillar arrangements, the order past the order cap, or the
+    prefixes a caterpillar search had entered when it stopped.
     """
-
-    def __init__(self, message: str, predicted: int):
-        super().__init__(message)
-        self.predicted = predicted
 
 
 class WrongK(TreextremalError, ValueError):

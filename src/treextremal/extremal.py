@@ -11,7 +11,8 @@ sequences with at most five internal vertices:
   k = 4:  minimizer C(d1-2, d4-2, d3-2, d2-2).
   k = 5:  a trichotomy on the sign of 2^d1 - 2^(d3-1) (1 + 2^(d2-1)) and on
           whether d4 = d5 picks between C(d1-2, d5-2, d4-2, d3-2, d2-2) and
-          C(d1-2, d4-2, d5-2, d3-2, d2-2); ties yield both.
+          C(d1-2, d4-2, d5-2, d3-2, d2-2). The sign is never zero, and when
+          d4 = d5 the two are one arrangement, so the minimizer is unique.
 
 No closed forms exist for maximization, so maximum searches are exact:
 over all realizations while the budget allows, otherwise over caterpillars
@@ -80,10 +81,6 @@ class ExtremalReport:
     trees_examined: int
 
 
-def _make_optimizer(t: Tree) -> Optimizer:
-    return Optimizer(t, canonical_form(t), caterpillar_from_tree(t))
-
-
 def closed_form_phi(ds: DegreeSequence) -> tuple[int, tuple[int, ...]]:
     """Minimum subtree count and its caterpillar for k in {2, 3, 4}.
 
@@ -131,8 +128,10 @@ class TrichotomyCase:
 
     lhs = 2^d1 and rhs = 2^(d3-1) (1 + 2^(d2-1)) are compared exactly as
     integers. Tag I: lhs > rhs with d4 != d5. Tag III: lhs < rhs with
-    d4 != d5. Tag II otherwise (equality or d4 = d5), where both candidate
-    arrangements tie.
+    d4 != d5. Tag II otherwise, which is d4 = d5: lhs is a power of two and
+    rhs has the odd factor 1 + 2^(d2-1) >= 3, so the two are never equal.
+    Tag II predicts both candidate arrangements, but with d4 = d5 they are
+    the same one, so every tag predicts a single minimizer.
     """
 
     tag: str  # "I" | "II" | "III"
@@ -253,7 +252,7 @@ def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDG
         nodes += 1
         if nodes > cap:
             raise BudgetExceeded(
-                f"caterpillar search exceeds budget {cap} after entering {nodes} prefixes", nodes
+                f"caterpillar search exceeds budget {cap} after entering {nodes} prefixes"
             )
         if len(rest) == 2:
             a, b = rest
@@ -312,7 +311,8 @@ def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
 
 def _report(ds, objective, optimum, winner_trees, method, examined) -> ExtremalReport:
     optimizers = sorted(
-        (_make_optimizer(t) for t in winner_trees), key=lambda o: o.canonical_code
+        (Optimizer(t, canonical_form(t), caterpillar_from_tree(t)) for t in winner_trees),
+        key=lambda o: o.canonical_code,
     )
     return ExtremalReport(ds, objective, optimum, optimizers, method, examined)
 
@@ -326,14 +326,8 @@ def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[tuple[int, ..
         value, stated = closed_form_phi(ds)
         return value, [caterpillar_canonical(stated)]
     if k == 5:
-        _, vectors = predict_min_k5(ds)
-        ys = sorted(vectors)
-        values = {caterpillar_phi(y) for y in ys}
-        if len(values) != 1:
-            raise InternalInconsistency(
-                f"tied minimizer candidates disagree for {ds}: {sorted(values)}"
-            )
-        return values.pop(), ys
+        (y,) = predict_min_k5(ds)[1]  # one vector (see TrichotomyCase)
+        return caterpillar_phi(y), [y]
     raise ClosedFormUnavailable(f"no closed form for k={k} > 5")
 
 
@@ -381,7 +375,7 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
         except BudgetExceeded as exc:
             if refused is None:
                 raise
-            raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}", exc.predicted) from None
+            raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}") from None
     return _report(ds, objective, best, winners, method, examined)
 
 

@@ -68,14 +68,6 @@ class Tree:
         self.edges = tuple(normalized)
         self.adjacency = tuple(map(tuple, adj))
 
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return len(self.adjacency[v])
-
-    def degrees(self) -> tuple[int, ...]:
-        """Degree multiset, sorted nonincreasing."""
-        return tuple(sorted((len(a) for a in self.adjacency), reverse=True))
-
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
 
@@ -184,21 +176,19 @@ def tree_from_edge_list(text: str) -> Tree:
     try:
         edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:])]
     except ValueError:
-        edges = _edges_line_by_line(lines[1:])
+        raise _bad_line(lines[1:]) from None
     return Tree(n, edges)
 
 
-def _edges_line_by_line(lines: list[str]) -> list[tuple[int, int]]:
-    """The edges of nonblank stripped lines, or a ParseError naming the
-    first line that is not two integers."""
-    edges = []
+def _bad_line(lines: list[str]) -> ParseError:
+    """The ParseError naming the first of the nonblank stripped lines that
+    is not two integers. It runs only after converting the same lines in
+    one pass failed, so there is such a line."""
     for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {ln!r}")
+            return ParseError(f"expected 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {ln!r}") from None
-        edges.append((u, v))
-    return edges
+            return ParseError(f"non-integer endpoint in {ln!r}")

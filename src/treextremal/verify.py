@@ -136,33 +136,17 @@ def verify_caterpillar_minimality(
     return _finish("thm-2.1", {"max_n": max_n}, instances, failures)
 
 
-def _valley_ok(z: tuple[int, ...], floor: int) -> bool:
-    """Some position t <= k-1 holds the floor value, the prefix falls into it
-    strictly, and the suffix never decreases."""
+def _valley_ok(z: tuple[int, ...]) -> bool:
+    """Some position t <= k-1 that the prefix falls into, strictly at its
+    last step, with a suffix that never decreases after it. Position t then
+    holds the minimum of z. The mountain shape is the valley of -z."""
     k = len(z)
     for t in range(1, k):  # 1-based t in 1..k-1
-        zt = z[t - 1]
-        if zt != floor:
-            continue
-        if t >= 2 and not z[t - 2] > zt:
+        if t >= 2 and not z[t - 2] > z[t - 1]:
             continue
         if any(z[i - 1] < z[i] for i in range(1, t - 1)):
             continue
         if any(z[i - 1] > z[i] for i in range(t, k)):
-            continue
-        return True
-    return False
-
-
-def _mountain_ok(z: tuple[int, ...]) -> bool:
-    """Some peak t <= k-1 with a strict final rise and nonincreasing suffix."""
-    k = len(z)
-    for t in range(1, k):
-        if t >= 2 and not z[t - 2] < z[t - 1]:
-            continue
-        if any(z[i - 1] > z[i] for i in range(1, t - 1)):
-            continue
-        if any(z[i - 1] < z[i] for i in range(t, k)):
             continue
         return True
     return False
@@ -189,7 +173,7 @@ def verify_valley_shape(
         floor = ds.degrees[ds.k - 1] - 2
         for y in winners:
             for z in _orientations(y):
-                if not _valley_ok(z, floor):
+                if not _valley_ok(z):
                     expected = f"valley shape with floor {floor}"
                     failures.append(_record(ds, [list(z)], expected, "no valid valley position"))
                 if ds.degrees[1] > ds.degrees[ds.k - 1] and z[-1] <= floor:
@@ -207,7 +191,7 @@ def verify_mountain_shape(
         instances += 1
         for y in winners:
             for z in _orientations(y):
-                if not _mountain_ok(z):
+                if not _valley_ok(tuple(-v for v in z)):
                     observed = "no valid peak position"
                     failures.append(_record(ds, [list(z)], "mountain shape", observed))
     return _finish(
@@ -240,9 +224,10 @@ def verify_trichotomy(
 ) -> VerificationReport:
     """For k = 5 the predicted minimizer set must equal exhaustive search.
 
-    Also scans for sequences with d4 != d5 where the two candidate
-    arrangements tie exactly (the case-II boundary); none are expected, and
-    the scan is recorded as a report-only finding either way.
+    Also scans for sequences with d4 != d5 where lhs = rhs, the boundary
+    between tags I and III. None exist (lhs is a power of two, rhs has an
+    odd factor of at least 3), and the scan is recorded as a report-only
+    finding either way.
     """
     failures = []
     instances = 0

@@ -16,7 +16,7 @@ from treextremal.trees import Tree, path_tree, star_tree
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
     """Vertex-permutation search with degree pruning."""
-    if t1.n != t2.n or t1.degrees() != t2.degrees():
+    if t1.n != t2.n or sorted(map(len, t1.adjacency)) != sorted(map(len, t2.adjacency)):
         return False
     n = t1.n
     if n == 1:

@@ -10,15 +10,18 @@ from treextremal.caterpillars import (
 from treextremal.canonical import canonical_form
 from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import EmptySpine
+from treextremal.degrees import degree_sequence
 from treextremal.trees import diameter, is_caterpillar, path_tree, star_tree
 
 
 def test_build_reference_shapes():
-    assert caterpillar_build((1,)).degrees() == (3, 1, 1, 1)  # K_{1,3}
+    claw = caterpillar_build((1,))  # K_{1,3}
+    assert degree_sequence(map(len, claw.adjacency)).degrees == (3, 1, 1, 1)
     t = caterpillar_build((1, 0, 0))
     assert t.n == 6
-    assert t.degrees() == (3, 2, 2, 1, 1, 1)
-    assert caterpillar_build((0, 0)).degrees() == (2, 2, 1, 1)  # P4
+    assert degree_sequence(map(len, t.adjacency)).degrees == (3, 2, 2, 1, 1, 1)
+    p4 = caterpillar_build((0, 0))
+    assert degree_sequence(map(len, p4.adjacency)).degrees == (2, 2, 1, 1)
     # deterministic labels: spine first, pendants in spine order
     assert caterpillar_build((1, 0)).edges == ((0, 1), (1, 2), (1, 4), (2, 3))
 
@@ -78,5 +81,5 @@ def test_from_tree_on_every_free_tree_up_to_12():
 
 def test_degree_sequence_of_caterpillar():
     t = caterpillar_build((6, 0, 1, 1, 1))
-    assert t.degrees() == (8, 3, 3, 3, 2) + (1,) * 11
+    assert degree_sequence(map(len, t.adjacency)).degrees == (8, 3, 3, 3, 2) + (1,) * 11
     assert t.n == 16

@@ -169,7 +169,8 @@ def test_enumerate_csv(run):
 # sha256 of the whole stdout of `enumerate --degseq SEQ --format FMT`, with
 # and without --caterpillars-only, frozen from the implementation that built
 # the rows of the two enumerations in two separate loops. "0" has no
-# caterpillar form: --caterpillars-only is an input error with no output.
+# caterpillar form: with --caterpillars-only it lists its one tree as
+# enumerate does (these two entries were frozen when that was made so).
 GOLDEN_ENUMERATE_STDOUT = {
     ("3,2,2,1,1,1", "json", False): "9e9e72b65fcd0512f5e183f1e46ee1ea748fb9c6d833046fce14af5933ed7405",
     ("3,2,2,1,1,1", "json", True): "3ebb8fc433344ba10ad60b3a4d48471900d8c95f217284119eec1eb34bc5dbc6",
@@ -184,9 +185,9 @@ GOLDEN_ENUMERATE_STDOUT = {
     ("2,1,1", "csv", False): "b502aa49559054c0a5dcd8107e4f8bb2d5e11903a089536807bfb0c597d4de80",
     ("2,1,1", "csv", True): "b502aa49559054c0a5dcd8107e4f8bb2d5e11903a089536807bfb0c597d4de80",
     ("0", "json", False): "e0fde17aacb100b335dfd4be3c88d75fd6de5582dbc979855a53c60a64d97e1b",
-    ("0", "json", True): None,
+    ("0", "json", True): "451ec797ea5e1f02ff74c4a4ed5e7935ec47572499d40b16b8cde2dcfa21dcd4",
     ("0", "csv", False): "cbe96086c03e9482ab6bc87b8a740516de481344d1bbbd2798f04fd39c62d869",
-    ("0", "csv", True): None,
+    ("0", "csv", True): "cbe96086c03e9482ab6bc87b8a740516de481344d1bbbd2798f04fd39c62d869",
 }
 
 
@@ -198,12 +199,26 @@ GOLDEN_ENUMERATE_STDOUT = {
 def test_enumerate_stdout_golden_digests(run, degseq, fmt, caterpillars_only):
     argv = ["enumerate", "--degseq", degseq, "--format", fmt]
     code, out, err = run(*argv + ["--caterpillars-only"] * caterpillars_only)
+    assert code == 0 and err == ""
     expected = GOLDEN_ENUMERATE_STDOUT[degseq, fmt, caterpillars_only]
-    if expected is None:
-        assert (code, out, err) == (2, "", f"error: no internal vertices in {degseq}\n")
-    else:
-        assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("degseq", ["0", "1,1"])
+def test_enumerate_caterpillars_only_lists_the_k0_tree(run, degseq):
+    # With no internal vertex there is no pendant vector, but the one tree
+    # is a caterpillar: both enumerations list it, with a null y_vector.
+    for fmt in ("json", "csv"):
+        argv = ["enumerate", "--degseq", degseq, "--format", fmt]
+        code, out, err = run(*argv, "--caterpillars-only")
+        assert (code, err) == (0, "")
+        plain = run(*argv)[1]
+        if fmt == "csv":
+            assert out == plain and len(out.splitlines()) == 2
+        else:
+            results = json.loads(out)["results"]
+            assert results == json.loads(plain)["results"]
+            assert results["count"] == 1 and results["trees"][0]["y_vector"] is None
 
 
 def test_enumerate_budget_exceeded(run):
@@ -235,6 +250,14 @@ def test_budget_env_var(run, monkeypatch):
     monkeypatch.setenv("TREEXTREMAL_BUDGET", "1000000")
     code, out, _ = run("enumerate", "--degseq", "2,2,2,2,1,1")
     assert code == 0
+    monkeypatch.setenv("TREEXTREMAL_BUDGET", "abc")
+    expected = "error: TREEXTREMAL_BUDGET must be an integer, got 'abc'\n"
+    assert run("enumerate", "--degseq", "2,1,1") == (2, "", expected)
+
+
+def test_count_negative_pendant_is_an_input_error(run):
+    expected = "error: pendant vector needs nonnegative entries: '-1,0'\n"
+    assert run("count", "--caterpillar=-1,0") == (2, "", expected)
 
 
 def test_auto_max_double_refusal_names_both_searches(run):

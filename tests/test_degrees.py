@@ -20,6 +20,11 @@ def test_parse_rejects_non_tree_sums():
         parse_degree_sequence("0,1")
 
 
+def test_empty_sequence_is_refused():
+    with pytest.raises(NotATreeSequence, match="^empty degree sequence$"):
+        DegreeSequence(())
+
+
 def test_parse_rejects_malformed_text():
     for bad in ("", "  ", "a,b", "3,,1", "2*0,1,1", "1*x", "-2,1"):
         with pytest.raises(ParseError):

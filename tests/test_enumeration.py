@@ -5,7 +5,7 @@ import pytest
 from treextremal import enumeration
 from treextremal.canonical import canonical_form
 from treextremal.caterpillars import caterpillar_build
-from treextremal.degrees import DegreeSequence, parse_degree_sequence
+from treextremal.degrees import DegreeSequence, degree_sequence, parse_degree_sequence
 from treextremal.enumeration import (
     EnumerationBudget,
     count_caterpillar_arrangements,
@@ -112,7 +112,7 @@ def test_enumerated_trees_have_right_degrees_and_unique_codes():
         for ds in enumerate_degree_sequences(n):
             codes = set()
             for t in enumerate_trees(ds):
-                assert t.degrees() == ds.degrees
+                assert degree_sequence(map(len, t.adjacency)).degrees == ds.degrees
                 code = canonical_form(t)
                 assert code not in codes
                 codes.add(code)
@@ -134,13 +134,14 @@ def test_enumeration_is_deterministic():
 
 
 def test_budget_refusal():
-    with pytest.raises(BudgetExceeded) as err:
+    with pytest.raises(BudgetExceeded, match="^n=22 exceeds full-enumeration cap 16$"):
         list(enumerate_trees(parse_degree_sequence("2*20,1,1")))  # n over cap
-    assert err.value.predicted == 22
     tiny = EnumerationBudget(max_labeled=5)
-    with pytest.raises(BudgetExceeded) as err:
+    assert count_free_trees(6) == 6
+    with pytest.raises(
+        BudgetExceeded, match="^predicted 6 free trees on 6 vertices exceeds budget 5$"
+    ):
         list(enumerate_trees(DegreeSequence((2, 2, 2, 2, 1, 1)), tiny))
-    assert err.value.predicted == count_free_trees(6) == 6
     # The 16-vertex path has 14! labeled words but only 19320 free trees
     # are generated for it, well inside the default budget.
     assert len(list(enumerate_trees(parse_degree_sequence("2*14,1,1")))) == 1
@@ -161,17 +162,19 @@ def test_all_trees_refuse_before_generating(monkeypatch):
     monkeypatch.setattr(enumeration, "free_level_sequences", no_generation)
     with pytest.raises(BudgetExceeded, match="n=17 exceeds full-enumeration cap 16"):
         enumerate_all_trees(17)
-    with pytest.raises(BudgetExceeded) as err:
+    with pytest.raises(
+        BudgetExceeded, match="^predicted 6 free trees on 6 vertices exceeds budget 5$"
+    ):
         enumerate_all_trees(6, EnumerationBudget(max_labeled=5))
-    assert err.value.predicted == count_free_trees(6)
 
 
 def test_caterpillar_budget_refusal():
     ds = parse_degree_sequence("4,3,2,1*5")
     assert count_caterpillar_arrangements(ds) == 6
-    with pytest.raises(BudgetExceeded) as err:
+    with pytest.raises(
+        BudgetExceeded, match="^predicted 6 caterpillar arrangements exceeds budget 5$"
+    ):
         list(enumerate_caterpillars(ds, EnumerationBudget(max_labeled=5)))
-    assert err.value.predicted == 6
     assert len(list(enumerate_caterpillars(ds, EnumerationBudget(max_labeled=6)))) == 3
 
 
@@ -180,6 +183,13 @@ def test_free_tree_counts():
     assert count_free_trees(20) == 823065
     with pytest.raises(ValueError):
         count_free_trees(0)
+
+
+def test_generators_refuse_orders_below_their_range():
+    with pytest.raises(ValueError, match="^free-tree generation needs n >= 2, got 1$"):
+        next(free_level_sequences(1))
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        list(enumerate_degree_sequences(0))
 
 
 def test_labeled_count_equals_word_count():

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from treextremal import enumeration
+from treextremal import enumeration, verify
+from treextremal.degrees import parse_degree_sequence
 from treextremal.enumeration import EnumerationBudget
 from treextremal.errors import BudgetExceeded
+from treextremal.extremal import TrichotomyCase, closed_form_phi
 from treextremal.verify import (
     CLAIM_IDS,
     VerificationReport,
@@ -17,7 +19,6 @@ from treextremal.verify import (
     verify_trichotomy,
     verify_transformation_monotonicity,
     verify_valley_shape,
-    _mountain_ok,
     _valley_ok,
 )
 
@@ -40,13 +41,16 @@ def test_valley_shape_small():
 
 
 def test_valley_predicate():
-    assert _valley_ok((1, 0, 0), 0)
-    assert _valley_ok((0, 0, 0), 0)
-    assert _valley_ok((2, 1, 0, 3), 0)
-    assert not _valley_ok((0, 1, 0), 0)  # falls after the rise
-    assert not _valley_ok((1, 1, 1), 0)  # never reaches the floor
-    assert not _valley_ok((2, 0, 1), 1)  # floor value never attained... at t<=k-1
-    assert _valley_ok((2, 1, 1), 1)
+    assert _valley_ok((1, 0, 0))
+    assert _valley_ok((0, 0, 0))
+    assert _valley_ok((2, 1, 0, 3))
+    assert not _valley_ok((0, 1, 0))  # falls after the rise
+    assert _valley_ok((2, 1, 1))
+
+
+def _mountain_ok(z):
+    """The mountain check of thm-3.6-shape: the valley of -z."""
+    return _valley_ok(tuple(-v for v in z))
 
 
 def test_mountain_predicate():
@@ -217,3 +221,65 @@ def test_run_claim_rejects_negative_caps():
     for claim, kwargs in (("thm-2.1", {"max_n": -5}), ("thm-3.5", {"max_k": -2})):
         with pytest.raises(ValueError, match="must be >= 0"):
             run_claim(claim, **kwargs)
+
+
+def _shape_breakers(max_n, min_k, max_k, maximize, budget):
+    """Stand-in for the caterpillar sweep. (2, 1, 0) is no valley and ends
+    on the floor although d_2 > d_k, yet it is a mountain; both
+    orientations of (1, 2, 0, 1) break both shapes."""
+    yield parse_degree_sequence("4,3,2,1*5"), 0, [(2, 1, 0)]
+    yield parse_degree_sequence("4,3,3,2,1*6"), 0, [(1, 2, 0, 1)]
+
+
+def _closed_form_off_by_one(ds):
+    value, stated = closed_form_phi(ds)
+    return value + 1, stated
+
+
+# Each claim forced to fail (wiener-correspondence to disagree) through one
+# seam, with its cap on n and the sha256 of
+# json.dumps(payload, sort_keys=True) of the failing report, frozen from the
+# implementation that checked mountains with a predicate of their own.
+FORCED_FAILURES = {
+    "thm-2.1": (
+        ("is_caterpillar", lambda t: False), 6,
+        "58843a73212b0794382c283faec424486fe5ecc0ace6970a7a77a1cfbdb77684",
+    ),
+    "thm-3.5": (
+        ("_caterpillar_optima", _shape_breakers), 9,
+        "8f8b73f98a466a8ca4a68db2c745ac84524d6ac18c93478b398fe2b1ed3bc715",
+    ),
+    "thm-3.6-shape": (
+        ("_caterpillar_optima", _shape_breakers), 9,
+        "9b2bd2221ee9a7dec17ca5a6630a81f12eef8f5da42a9cf75456b0594bb872d2",
+    ),
+    "thm-4.1": (
+        ("closed_form_phi", _closed_form_off_by_one), 7,
+        "18678cd0cf891132f27aaffb05a86c6e1afb7bddc97423b71e2cdba789202f3f",
+    ),
+    "thm-4.2": (
+        ("predict_min_k5", lambda ds: (TrichotomyCase("I", 4, 4, False), set())), 9,
+        "4f3d599b11cd350abd9553d43ff13ea1eb4458b2fc202b5a26b7f6827f37330e",
+    ),
+    "eq-2.1-monotonic": (
+        ("_shifted", lambda t, ctx: t), 8,
+        "50e2b3e2764bbf0c0d8806db93ce1a5e6b2709bc1839e37eea7a8334bee12b98",
+    ),
+    "wiener-correspondence": (
+        ("wiener_index", lambda t: 0), 6,
+        "8d1f03532045715004bf227574e8e84b01c1426d5c06126b85d8497a16e03872",
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(FORCED_FAILURES))
+def test_forced_failures_are_recorded(monkeypatch, claim):
+    (attr, fake), max_n, digest = FORCED_FAILURES[claim]
+    monkeypatch.setattr(verify, attr, fake)
+    report = run_claim(claim, max_n)
+    if claim == "wiener-correspondence":
+        assert report.status == "report-only" and report.findings["disagreements"]
+    else:
+        assert report.status == "fail" and report.failures
+    payload = json.dumps(report.to_payload(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
