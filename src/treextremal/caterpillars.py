@@ -10,7 +10,7 @@ caterpillar is that canonical tuple; a Tree is built only when one is needed.
 """
 
 from .errors import EmptySpine
-from .trees import Tree, bfs, is_caterpillar
+from .trees import Tree, _tree_from_parents, bfs, is_caterpillar
 
 
 def caterpillar_canonical(y) -> tuple[int, ...]:
@@ -30,22 +30,26 @@ def _pendant_vector(y) -> tuple[int, ...]:
     return y
 
 
+def _caterpillar_parents(y: tuple[int, ...]) -> list[int]:
+    """Parent array of C(y) for a valid pendant vector y, rooted at v_0.
+
+    Spine vertex v_j is label j with parent j - 1 (-1 at the root), and the
+    pendants of v_j follow label k + 1 in spine order with parent j. Every
+    parent label is below its child's, so range(n) lists parents first.
+    """
+    parent = list(range(-1, len(y) + 1))
+    for j, cnt in enumerate(y, start=1):
+        parent += [j] * cnt
+    return parent
+
+
 def caterpillar_build(y) -> Tree:
     """Materialize C(y_1, ..., y_k) with deterministic labels.
 
     Spine vertices get labels 0..k+1 (so v_j is label j); pendants follow in
-    spine order starting at k+2.
+    spine order starting at k+2 (see _caterpillar_parents).
     """
-    y = _pendant_vector(y)
-    k = len(y)
-    n = k + 2 + sum(y)
-    edges = [(j, j + 1) for j in range(k + 1)]
-    nxt = k + 2
-    for j, cnt in enumerate(y, start=1):
-        for _ in range(cnt):
-            edges.append((j, nxt))
-            nxt += 1
-    return Tree(n, edges)
+    return _tree_from_parents(_caterpillar_parents(_pendant_vector(y)))
 
 
 def caterpillar_from_tree(t: Tree) -> tuple[int, ...] | None:

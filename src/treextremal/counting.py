@@ -13,16 +13,20 @@ Two independent routes are kept on purpose:
   shares no recursion with the DP. It is the oracle the test suite holds
   everything else against.
 
-The rerooting and the Wiener index are each written once, as a private
-helper over a rooted traversal (order, parent), and the public functions
-run them on a BFS of their own. `treextremal count` instead takes one
+The product DP (_rooted_counts), the rerooting and the Wiener index are
+each written once, as a private helper over a rooted traversal (order,
+parent), and the traversal has two sources. One is a BFS of a Tree: the
+public functions run one of their own, and `treextremal count` takes one
 _down_counts traversal and reads phi, every per-vertex count, the Wiener
-index and (trees._diameter) the diameter off it.
+index and (trees._diameter) the diameter off it. The other is a
+caterpillar's parent array (caterpillars._caterpillar_parents), which needs
+no Tree and no BFS: range(n) already lists its parents before their
+children.
 
 caterpillar_phi counts a caterpillar straight from its pendant vector in
 O(k), with no Tree; the caterpillar search in extremal runs the same
 recurrence down each prefix of its branch and bound and recounts each
-winner with count_subtrees.
+winner with the product DP on its parent array.
 """
 
 from .caterpillars import _pendant_vector
@@ -30,17 +34,23 @@ from .errors import TooLarge
 from .trees import Tree, bfs
 
 
-def _down_counts(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+def _rooted_counts(order, parent) -> list[int]:
     """For each v, the number of subtrees of v's rooted subtree containing v.
 
-    down[v] = prod over children c of (1 + down[c]). Returns (down, order,
-    parent) so callers can reuse the traversal.
+    down[v] = prod over children c of (1 + down[c]), over a rooted traversal:
+    order lists every vertex, the root first and parents before children.
     """
-    order, parent, _ = bfs(t, root)
-    down = [1] * t.n
+    down = [1] * len(order)
     for v in reversed(order[1:]):  # children before parents; the root has no parent
         down[parent[v]] *= 1 + down[v]
-    return down, order, parent
+    return down
+
+
+def _down_counts(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """_rooted_counts on a BFS of t from root. Returns (down, order, parent)
+    so callers can reuse the traversal."""
+    order, parent, _ = bfs(t, root)
+    return _rooted_counts(order, parent), order, parent
 
 
 def count_subtrees(t: Tree) -> int:

@@ -7,7 +7,6 @@ number of internal entries (those >= 2); entries k+1..n are all 1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import NotATreeSequence, ParseError
@@ -41,12 +40,15 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.degrees)
 
-    @cached_property
-    def k(self) -> int:
-        """Number of internal (degree >= 2) entries, counted once; the
-        cache lives outside the fields, so equality, hashing and repr are
-        unaffected."""
-        return sum(1 for d in self.degrees if d >= 2)
+    def __getattr__(self, name):
+        """k, the number of internal (degree >= 2) entries, counted on its
+        first read. The count is kept in the instance dict, outside the
+        fields, so equality, hashing and repr are unaffected, and later
+        reads find it there without calling this."""
+        if name != "k":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        k = self.__dict__["k"] = sum(1 for d in self.degrees if d >= 2)
+        return k
 
     @property
     def internal(self) -> tuple[int, ...]:
@@ -54,6 +56,15 @@ class DegreeSequence:
 
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.degrees)
+
+
+def _built(degrees: tuple[int, ...], k: int) -> DegreeSequence:
+    """The DegreeSequence of degrees, which its generator built sorted
+    nonincreasing and valid with k internal entries, taken as built: no
+    re-sort, no re-validation. User input goes through DegreeSequence."""
+    ds = object.__new__(DegreeSequence)
+    ds.__dict__.update(degrees=degrees, k=k)
+    return ds
 
 
 def degree_sequence(values: Iterable[int]) -> DegreeSequence:

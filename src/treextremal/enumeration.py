@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .degrees import DegreeSequence
+from .degrees import DegreeSequence, _built
 from .errors import BudgetExceeded, NoInternalVertices
-from .trees import Tree, star_tree
+from .trees import Tree, _tree_from_parents, star_tree
 
 
 # The largest order a full enumeration accepts, whatever the budget.
@@ -197,10 +197,6 @@ def _free_trees(n: int) -> Iterator[tuple[list[int], list[int]]]:
         yield parent, degree
 
 
-def _tree(parent) -> Tree:
-    return Tree(len(parent), [(parent[i], i) for i in range(1, len(parent))])
-
-
 def enumerate_trees(
     ds: DegreeSequence, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Iterator[Tree]:
@@ -218,7 +214,7 @@ def enumerate_trees(
     target = list(ds.degrees)
     for parent, degree in _free_trees(ds.n):
         if sorted(degree, reverse=True) == target:
-            yield _tree(parent)
+            yield _tree_from_parents(parent)
 
 
 def enumerate_all_trees(
@@ -243,7 +239,7 @@ def _all_trees(n: int) -> Iterator[tuple[DegreeSequence, list[Tree]]]:
         key = tuple(sorted(degree, reverse=True))
         by_degrees.setdefault(key, []).append(tuple(parent))
     for ds in enumerate_degree_sequences(n):
-        yield ds, [_tree(parent) for parent in by_degrees.pop(ds.degrees)]
+        yield ds, [_tree_from_parents(parent) for parent in by_degrees.pop(ds.degrees)]
 
 
 def enumerate_caterpillars(
@@ -295,7 +291,9 @@ def enumerate_degree_sequences(
     with 1s, and the d_i - 1 form a partition of n - 2 into k parts. So the
     partitions of n - 2 into min_k to max_k parts are walked largest part
     first, each part bounded so that the window can still be met; the
-    recursion depth is at most k and only yielded sequences are built.
+    recursion depth is at most k and only yielded sequences are built. They
+    are sorted and valid by construction, so they skip DegreeSequence's
+    re-sort and re-validation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -314,7 +312,7 @@ def enumerate_degree_sequences(
         if remaining == 0 or cap == 1:
             # Parts of 1 are all that is left: one degree 2 per unit.
             degrees = tuple(internal) + (2,) * remaining
-            yield DegreeSequence(degrees + (1,) * (n - len(degrees)))
+            yield _built(degrees + (1,) * (n - len(degrees)), len(degrees))
             return
         # The part p leaves remaining - p to at most max_k - len - 1 parts
         # no larger than p, and to at least min_k - len - 1 parts.

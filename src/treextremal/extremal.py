@@ -26,10 +26,11 @@ prefix and cuts a prefix only when _phi_bound, a bound on every
 completion, is strictly worse than the incumbent, so every tied winner
 survives and exactness rests on no shape theorem. Its cost is capped by
 the prefixes it enters (budget.max_labeled): past the cap it raises
-BudgetExceeded and returns nothing. It builds a Tree only for the
-winners, whose counts it recomputes with the general count_subtrees; a
-disagreement raises InternalInconsistency, so the shortcut is
-cross-checked on every search.
+BudgetExceeded and returns nothing. It builds no Tree: each winner is
+recounted by the general product DP (count_subtrees's) on the winner's
+parent array, and a disagreement raises InternalInconsistency, so the
+shortcut is cross-checked on every search. A Tree is built only for the
+winners a report lists.
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
@@ -39,8 +40,13 @@ end.
 from dataclasses import dataclass
 
 from .canonical import canonical_form
-from .caterpillars import caterpillar_build, caterpillar_canonical, caterpillar_from_tree
-from .counting import _down_counts, caterpillar_phi, count_subtrees
+from .caterpillars import (
+    _caterpillar_parents,
+    caterpillar_build,
+    caterpillar_canonical,
+    caterpillar_from_tree,
+)
+from .counting import _down_counts, _rooted_counts, caterpillar_phi, count_subtrees
 from .degrees import DegreeSequence
 from .errors import (
     BudgetExceeded,
@@ -288,25 +294,24 @@ def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDG
 
 
 def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
-    """Caterpillar search: (optimum, winners, trees, examined).
+    """Caterpillar search: (optimum, winners, examined).
 
-    Winners and examined are as _caterpillar_search returns them, under the
-    budget's node cap; trees are the winners' built C(y), each recounted by
-    count_subtrees, which must agree.
+    All three are as _caterpillar_search returns them, under the budget's
+    node cap. Each winner is recounted by the product DP of count_subtrees
+    on its parent array, in label order (no Tree, no BFS), and the counts
+    must agree.
     """
     best, winners, examined = _caterpillar_search(
         [d - 2 for d in ds.internal], maximize, budget
     )
-    trees = []
     for y in winners:
-        t = caterpillar_build(y)
-        recount = count_subtrees(t)
+        parent = _caterpillar_parents(y)
+        recount = sum(_rooted_counts(range(len(parent)), parent))
         if recount != best:
             raise InternalInconsistency(
                 f"caterpillar search gives {best} for C{y}, count_subtrees {recount}"
             )
-        trees.append(t)
-    return best, winners, trees, examined
+    return best, winners, examined
 
 
 def _report(ds, objective, optimum, winner_trees, method, examined) -> ExtremalReport:
@@ -358,12 +363,13 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
                 method = "caterpillar"
         elif ds.k <= 5:
             value, ys = _closed_form_minimizers(ds)
-            best, winners, trees, examined = _caterpillar_extremes(ds, budget, False)
+            best, winners, examined = _caterpillar_extremes(ds, budget, False)
             if best != value or set(winners) != set(ys):
                 raise InternalInconsistency(
                     f"closed form disagrees with caterpillar search for {ds}: "
                     f"formula {value}, search {best}"
                 )
+            trees = [caterpillar_build(y) for y in winners]
             return _report(ds, objective, value, trees, "closed-form", examined)
         else:
             method = "caterpillar"
@@ -371,11 +377,12 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
         best, winners, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
     else:
         try:
-            best, _, winners, examined = _caterpillar_extremes(ds, budget, maximize)
+            best, ys, examined = _caterpillar_extremes(ds, budget, maximize)
         except BudgetExceeded as exc:
             if refused is None:
                 raise
             raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}") from None
+        winners = [caterpillar_build(y) for y in ys]
     return _report(ds, objective, best, winners, method, examined)
 
 
@@ -391,7 +398,8 @@ def find_min_subtrees(
     caterpillars (complete for minimization) by branch and bound over the
     pendant-vector arrangements, seeded with the count of the zig-zag
     valley, cutting a prefix only when a lower bound on its completions
-    exceeds the best count so far, and recounts the winners' trees; it is
+    exceeds the best count so far, and recounts each winner with the
+    product DP on its parent array, building a Tree only to report it; it is
     refused (BudgetExceeded) once it enters more than budget.max_labeled
     prefixes. trees_examined counts the classes it scored at a leaf, not
     the seed. "closed-form" uses the k <= 5 formulas; "auto" picks the
@@ -453,15 +461,16 @@ def branch_shift_context(t: Tree, y: int, v_r: int) -> BranchShiftContext:
 
 def _branch_shift_context(t: Tree, y: int, v_r: int, diam: int, searches: dict):
     """branch_shift_context on a non-caterpillar t of diameter diam, for
-    valid vertices; searches memoizes (parent, dist) of the BFS from each
-    leaf v_r, so a caller trying many pairs on one tree runs one per leaf."""
+    valid vertices; searches memoizes the BFS (order, parent, dist) from
+    each leaf v_r, so a caller trying many pairs on one tree runs one per
+    leaf."""
     if len(t.adjacency[y]) < 2:
         raise NotApplicable(f"vertex {y} has no children to move")
     if len(t.adjacency[v_r]) != 1:
         raise NotApplicable(f"vertex {v_r} is not a leaf")
     if v_r not in searches:
-        searches[v_r] = bfs(t, v_r)[1:]
-    parent, dist = searches[v_r]
+        searches[v_r] = bfs(t, v_r)
+    _, parent, dist = searches[v_r]
     if max(dist) != diam:
         raise NotApplicable(f"vertex {v_r} is not the endpoint of a longest path")
     v_l = parent[y]
@@ -520,12 +529,18 @@ def branch_shift_inequality(t: Tree, ctx: BranchShiftContext) -> tuple[int, int,
     The shift strictly decreases the total subtree count whenever
     attachment_weight > tail_weight and branch_count > 1.
     """
+    return _shift_weights(ctx, _down_counts(t, ctx.v_r)[0])
+
+
+def _shift_weights(ctx: BranchShiftContext, down: list[int]) -> tuple[int, int, int]:
+    """branch_shift_inequality from the rooted counts down of the tree
+    rooted at ctx.v_r, which depend only on v_r: a caller trying many pairs
+    on one tree computes them once per leaf."""
     path = ctx.path
     l, r = ctx.l, len(path) - 1
     # Rooted at v_r, path[i + 1] is the parent of path[i] and v_l the parent
     # of y, so each quantity is a down count with one child factor
     # (1 + down[c]) divided out; the division is exact.
-    down = _down_counts(t, ctx.v_r)[0]
     a = {i: down[path[i]] // (1 + down[path[i - 1]]) for i in range(l + 1, r + 1)}
     series = 1  # 1 + a_{l+2} (1 + a_{l+3} (... (1 + a_r))), built right to left
     for j in range(r, l + 1, -1):

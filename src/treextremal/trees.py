@@ -85,6 +85,11 @@ class Tree:
         return f"Tree(n={self.n}, edges={list(self.edges)})"
 
 
+def _tree_from_parents(parent) -> Tree:
+    """The Tree with an edge from each vertex v >= 1 to parent[v]."""
+    return Tree(len(parent), [(parent[v], v) for v in range(1, len(parent))])
+
+
 def path_tree(n: int) -> Tree:
     """Path 0-1-...-(n-1)."""
     return Tree(n, [(i, i + 1) for i in range(n - 1)])

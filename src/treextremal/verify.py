@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .canonical import canonical_form
 from .caterpillars import caterpillar_canonical
-from .counting import count_subtrees, wiener_index
+from .counting import _rooted_counts, count_subtrees, wiener_index
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -43,8 +43,8 @@ from .enumeration import (
 from .extremal import (
     _branch_shift_context,
     _caterpillar_extremes,
+    _shift_weights,
     _shifted,
-    branch_shift_inequality,
     closed_form_phi,
     extremes,
     predict_min_k5,
@@ -108,7 +108,7 @@ def _caterpillar_optima(
     pendant vectors."""
     for n in range(2, max_n + 1):
         for ds in enumerate_degree_sequences(n, min_k, max_k):
-            best, winners, _, _ = _caterpillar_extremes(ds, budget, maximize)
+            best, winners, _ = _caterpillar_extremes(ds, budget, maximize)
             yield ds, best, winners
 
 
@@ -265,10 +265,12 @@ def verify_transformation_monotonicity(
             trees_seen += 1
             phi = count_subtrees(t)
             # The caterpillar test and the diameter are per-tree facts, and
-            # the BFS from each leaf is shared by every y. Only a y with
-            # children to move and a leaf v_r can form a pair.
+            # the BFS from each leaf, and the rooted counts on it, are
+            # shared by every y. Only a y with children to move and a leaf
+            # v_r can form a pair.
             diam = diameter(t)
             searches = {}
+            downs = {}
             leaves = t.leaves()
             for y in range(t.n):
                 if len(t.adjacency[y]) < 2:
@@ -278,7 +280,9 @@ def verify_transformation_monotonicity(
                         ctx = _branch_shift_context(t, y, v_r, diam, searches)
                     except NotApplicable:
                         continue
-                    weight, tail, branch = branch_shift_inequality(t, ctx)
+                    if v_r not in downs:
+                        downs[v_r] = _rooted_counts(*searches[v_r][:2])
+                    weight, tail, branch = _shift_weights(ctx, downs[v_r])
                     if not (weight > tail and branch > 1):
                         continue
                     applicable += 1

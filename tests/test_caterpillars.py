@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from treextremal.caterpillars import (
+    _caterpillar_parents,
     caterpillar_build,
     caterpillar_canonical,
     caterpillar_from_tree,
@@ -11,7 +12,7 @@ from treextremal.canonical import canonical_form
 from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
 from treextremal.errors import EmptySpine
 from treextremal.degrees import degree_sequence
-from treextremal.trees import diameter, is_caterpillar, path_tree, star_tree
+from treextremal.trees import Tree, diameter, is_caterpillar, path_tree, star_tree
 
 
 def test_build_reference_shapes():
@@ -41,6 +42,30 @@ def test_canonical_orientation():
     # idempotent
     for y in itertools.product(range(3), repeat=4):
         assert caterpillar_canonical(caterpillar_canonical(y)) == caterpillar_canonical(y)
+
+
+def _edge_loop_build(y) -> Tree:
+    """C(y) built edge by edge: the spine path 0..k+1, then the pendants of
+    each v_j in spine order from label k + 2. The oracle for the labels of
+    caterpillar_build."""
+    k = len(y)
+    edges = [(j, j + 1) for j in range(k + 1)]
+    nxt = k + 2
+    for j, cnt in enumerate(y, start=1):
+        for _ in range(cnt):
+            edges.append((j, nxt))
+            nxt += 1
+    return Tree(nxt, edges)
+
+
+def test_build_from_parents_matches_the_edge_loop():
+    for k in range(1, 6):
+        for y in itertools.product(range(4), repeat=k):
+            t, want = caterpillar_build(y), _edge_loop_build(y)
+            assert (t.n, t.edges, t.adjacency) == (want.n, want.edges, want.adjacency)
+            parent = _caterpillar_parents(y)
+            assert parent[0] == -1
+            assert all(parent[v] < v for v in range(1, t.n))
 
 
 def test_build_round_trip_properties():

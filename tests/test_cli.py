@@ -329,14 +329,29 @@ def test_internal_inconsistency_exit_code(run, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_caterpillar_recount_mismatch_exit_code(run, monkeypatch):
+def _miscount_recounts(monkeypatch):
+    """Make the product DP that recounts each caterpillar winner one too
+    high."""
     from treextremal import extremal
 
-    real = extremal.count_subtrees
-    monkeypatch.setattr(extremal, "count_subtrees", lambda t: real(t) + 1)
+    real = extremal._rooted_counts
+    monkeypatch.setattr(extremal, "_rooted_counts", lambda order, parent: real(order, parent) + [1])
+
+
+def test_caterpillar_recount_mismatch_exit_code(run, monkeypatch):
+    _miscount_recounts(monkeypatch)
     code, out, err = run(
         "extremal", "--degseq", "4,4,3,3,2,1*8", "--objective", "min", "--method", "caterpillar"
     )
+    assert code == 4
+    assert out == ""
+    assert "count_subtrees" in err
+    assert "Traceback" not in err
+
+
+def test_verify_recount_mismatch_exit_code(run, monkeypatch):
+    _miscount_recounts(monkeypatch)
+    code, out, err = run("verify", "thm-4.1", "--max-n", "8")
     assert code == 4
     assert out == ""
     assert "count_subtrees" in err

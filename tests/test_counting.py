@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from treextremal.caterpillars import caterpillar_build
+from treextremal.caterpillars import _caterpillar_parents, caterpillar_build
 from treextremal.counting import (
     brute_force_count,
     caterpillar_phi,
@@ -18,7 +18,7 @@ from treextremal.counting import (
     count_subtrees,
     wiener_index,
 )
-from treextremal.counting import _down_counts
+from treextremal.counting import _down_counts, _rooted_counts
 from treextremal.enumeration import (
     enumerate_caterpillars,
     enumerate_degree_sequences,
@@ -69,6 +69,20 @@ def test_root_choice_is_irrelevant():
 def test_oracle_equivalence_small():
     for t in all_trees_up_to(9):
         assert count_subtrees(t) == brute_force_count(t)
+
+
+def test_parent_array_recount_matches_oracle():
+    # The caterpillar search recounts each winner this way: the product DP
+    # over the parent array in label order, with no Tree and no BFS.
+    rng = random.Random(2012)
+    for _ in range(200):
+        k = rng.randint(1, 18)
+        y = [0] * k
+        for _ in range(rng.randint(0, 18 - k)):  # n = k + 2 + sum(y) <= 20
+            y[rng.randrange(k)] += 1
+        parent = _caterpillar_parents(tuple(y))
+        recount = sum(_rooted_counts(range(len(parent)), parent))
+        assert recount == brute_force_count(caterpillar_build(y)), y
 
 
 def test_oracle_guard():

@@ -72,6 +72,18 @@ def test_degree_sequence_k_windows_filter_the_full_list():
     assert list(enumerate_degree_sequences(9, 5, 5))[0].degrees == (4, 2, 2, 2, 2, 1, 1, 1, 1)
 
 
+def test_generated_sequences_equal_validated_ones():
+    # The partition walk's sequences skip DegreeSequence's re-sort and
+    # re-validation; they must be indistinguishable from validated ones.
+    windows = [(0, None)] + [(lo, hi) for lo in range(1, 7) for hi in (lo, lo + 2, None)]
+    for n in range(1, 23):
+        for lo, hi in windows:
+            for ds in enumerate_degree_sequences(n, lo, hi):
+                ref = DegreeSequence(ds.degrees)
+                assert ds == ref and hash(ds) == hash(ref) and repr(ds) == repr(ref)
+                assert (ds.k, ds.internal) == (ref.k, ref.internal)
+
+
 def test_unlabeled_totals_match_known_counts():
     for n in range(1, 17):
         assert count_free_trees(n) == UNLABELED_COUNTS[n - 1]

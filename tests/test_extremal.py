@@ -259,8 +259,8 @@ def test_caterpillar_search_recounts_winners(monkeypatch):
     from treextremal import extremal
 
     ds = parse_degree_sequence("4,4,3,3,2,1*8")
-    real = extremal.count_subtrees
-    monkeypatch.setattr(extremal, "count_subtrees", lambda t: real(t) + 1)
+    real = extremal._rooted_counts
+    monkeypatch.setattr(extremal, "_rooted_counts", lambda order, parent: real(order, parent) + [1])
     for search in (find_min_subtrees, find_max_subtrees):
         with pytest.raises(InternalInconsistency, match="count_subtrees"):
             search(ds, method="caterpillar")

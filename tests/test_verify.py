@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from treextremal import enumeration, verify
+from treextremal import enumeration, extremal, verify
 from treextremal.degrees import parse_degree_sequence
 from treextremal.enumeration import EnumerationBudget
-from treextremal.errors import BudgetExceeded
+from treextremal.errors import BudgetExceeded, InternalInconsistency
 from treextremal.extremal import TrichotomyCase, closed_form_phi
 from treextremal.verify import (
     CLAIM_IDS,
@@ -168,9 +168,18 @@ def test_full_enumeration_claims_refuse_before_generating(monkeypatch):
         run_claim("eq-2.1-monotonic", 8, budget=EnumerationBudget(max_labeled=5))
 
 
+def test_caterpillar_sweep_recounts_winners(monkeypatch):
+    # Every winner of every search in a caterpillar sweep is recounted by
+    # the product DP, independently of the caterpillar_phi recurrence.
+    real = extremal._rooted_counts
+    monkeypatch.setattr(extremal, "_rooted_counts", lambda order, parent: real(order, parent) + [1])
+    with pytest.raises(InternalInconsistency, match="count_subtrees"):
+        run_claim("thm-4.1", 8)
+
+
 # sha256 of json.dumps(run_claim(claim, n).to_payload(), sort_keys=True) for
-# each claim at each cap of the benchmark's sweep ladders up to the claim's
-# default cap, and at the default itself.
+# each claim at each cap of the benchmark's sweep ladders, past the claim's
+# default cap too, and at the default itself.
 GOLDEN_PAYLOADS = {
     "thm-2.1@4": "f059c15aac836f62baa976d42d244ad7ab92a06d68873761d7a986b38f075dc3",
     "thm-2.1@5": "2dc7b3e10a0f9ec6a5a7442633b82cda86fd4c2278dce6213efb3afda0bc1055",
@@ -195,18 +204,30 @@ GOLDEN_PAYLOADS = {
     "thm-3.5@10": "ad2cd175e77c291cc5134cfa4bd326c5958fdd33d3e3170ede5b0e3a7d2bc3eb",
     "thm-3.5@12": "123faccd0c6b36f0dec31d679e426e1ffe3bc7dd026b014fbad5a46e2cf565ec",
     "thm-3.5@13": "dddee6de5943db4853183bd07e4c85a46220682343ba5895a2d58cae1ae0a1e4",
+    "thm-3.5@14": "2eb12615c354a3948144c8680a02352218310080bc41568f4d75d20976c3a6c4",
+    "thm-3.5@16": "2d0390554e61b88c9590d737f7f571c61139d742b7338080092854d012bc18b3",
     "thm-3.6-shape@6": "31224159062943efacd5fe562c245be049b155769906df8aaec9a473d3ac9c44",
     "thm-3.6-shape@8": "2c9d1bd9d7f07d682257fcce25f861fdadf135398c8ec492d3842e62bc6302ac",
     "thm-3.6-shape@10": "1070d57f1105f400b613a888bd2977f6ce6c4584138770918384ba0bea2ef9c2",
     "thm-3.6-shape@12": "4303666e5a8f5204050819ed7a13003abf2d37f6c0add0a708194cbecaf97b8a",
     "thm-3.6-shape@13": "ab928fa57e25a80a12f5587170d4c0e67325981745bf013154623d897770873f",
+    "thm-3.6-shape@14": "8b533c16b1107e961a7bf22032f99bc2558dee9273783b2647158541c3b3dd47",
+    "thm-3.6-shape@16": "b94f0378c34645fdd7b7e9028c735f30d223685ca5dec115b0a7891dfcee1b3a",
     "thm-4.1@8": "48bfe91fb21af7196deb3927f1d10bf6f03149e67cf608640a3903c8293ca8e3",
     "thm-4.1@10": "3d661f77d0eda57ff466f98daf42bb12a22441adc1d3e4884a58a22a31825b29",
     "thm-4.1@12": "2a4ba4ee2369a2eb5a64ba75f6d16d904616f1ab899758c5685ac88591d2dec0",
+    "thm-4.1@14": "f1d907dadf11e6debbe25a64131c5449178f52b8e0c96096ab5d6d0758e88363",
+    "thm-4.1@16": "6991fc937c0f24b8133cd98681f3f6fb93cd37931147ae9735e34036bb6857b6",
+    "thm-4.1@18": "30606932f0f898979467a5b1713bf092843d114c8de13699a60dc40525940baf",
+    "thm-4.1@20": "5a66465bc488d4e69ab15146422bd99067409093f04993a58f184f25e8955eb0",
     "thm-4.2@8": "20b47e6cd14b3a5b56b5bae6c4ee2fdfa2dd5231eb22845e1a90656ef237989c",
     "thm-4.2@10": "8ea15b2d3aded99e3ef7b599ed97213002ce06a83271338d62298a47218efc4e",
     "thm-4.2@12": "5a29392fac1e20e87598eeb60747fcb7e5186da219de2fc3e72a6862f3bd680d",
     "thm-4.2@13": "b3a9d11f21dddc6bf233e4080c8cccfd32921b09b0534664085782b372612c2a",
+    "thm-4.2@14": "894eee0d9e7fa0a53a2758db17829a8c4a4ba16c9af6ef8f51d3669ddc0720f3",
+    "thm-4.2@16": "350d30889f96488e57fa2000709e9849ddbfd5ef478b4a7d23336614bd8399e9",
+    "thm-4.2@18": "74bda25727922b528f11d0fac3e5d81aad6c4c6255fe523fa978ee06c94a2dbb",
+    "thm-4.2@20": "a164e209a3d38978d6d984a59deae1979b6f3f0e5c822846452a045c432924cd",
 }
 
 
