@@ -8,27 +8,17 @@ codes iff they are isomorphic, so the code doubles as a dedupe key and as a
 deterministic sort key.
 """
 
-from .trees import Tree, bfs
+from .trees import Tree, _longest_path, bfs
 
 
 def centers(t: Tree) -> list[int]:
-    """The 1 or 2 middle vertices, found by iterative leaf stripping."""
-    if t.n <= 2:
-        return list(range(t.n))
-    degree = [len(a) for a in t.adjacency]
-    layer = [v for v in range(t.n) if degree[v] == 1]
-    remaining = t.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in t.adjacency[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-            degree[v] = 0
-        layer = nxt
-    return sorted(layer)
+    """The 1 or 2 middle vertices of a longest path, sorted.
+
+    Every longest path runs through the center(s) of a tree, with them at
+    its middle, so one path found by double sweep is enough.
+    """
+    path = _longest_path(t)
+    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def rooted_code(t: Tree, root: int) -> str:

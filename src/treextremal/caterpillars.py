@@ -10,7 +10,7 @@ caterpillar is that canonical tuple; a Tree is built only when one is needed.
 """
 
 from .errors import EmptySpine
-from .trees import Tree, _tree_from_parents, bfs, is_caterpillar
+from .trees import Tree, _longest_path, _tree_from_parents, is_caterpillar
 
 
 def caterpillar_canonical(y) -> tuple[int, ...]:
@@ -57,16 +57,10 @@ def caterpillar_from_tree(t: Tree) -> tuple[int, ...] | None:
 
     Returns None when t is not a caterpillar, or when it has no internal
     vertices (n <= 2) and therefore no C(y) form. The spine is the interior
-    of a longest path, found by a double sweep: the last vertex a BFS
-    visits is an end of a longest path, and a BFS from it finds the other.
+    of a longest path (trees._longest_path): in a caterpillar it holds
+    every internal vertex, and each has y_i = degree - 2.
     """
     if t.n <= 2 or not is_caterpillar(t):
         return None
-    far = bfs(t, 0)[0][-1]
-    order, parent, _ = bfs(t, far)
-    y = []
-    v = parent[order[-1]]
-    while v != far:
-        y.append(len(t.adjacency[v]) - 2)
-        v = parent[v]
-    return caterpillar_canonical(y)
+    path = _longest_path(t)
+    return caterpillar_canonical([len(t.adjacency[v]) - 2 for v in path[1:-1]])

@@ -7,6 +7,7 @@ number of internal entries (those >= 2); entries k+1..n are all 1.
 """
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .errors import NotATreeSequence, ParseError
@@ -17,8 +18,13 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.degrees, reverse=True))
+        try:
+            ordered = tuple(sorted(map(index, self.degrees), reverse=True))
+        except TypeError:
+            raise NotATreeSequence(f"degrees must be integers: {self.degrees}") from None
         object.__setattr__(self, "degrees", ordered)
+        # k is kept outside the fields: equality, hashing and repr ignore it.
+        object.__setattr__(self, "k", sum(1 for d in ordered if d >= 2))
         n = len(ordered)
         if n == 0:
             raise NotATreeSequence("empty degree sequence")
@@ -39,16 +45,6 @@ class DegreeSequence:
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    def __getattr__(self, name):
-        """k, the number of internal (degree >= 2) entries, counted on its
-        first read. The count is kept in the instance dict, outside the
-        fields, so equality, hashing and repr are unaffected, and later
-        reads find it there without calling this."""
-        if name != "k":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        k = self.__dict__["k"] = sum(1 for d in self.degrees if d >= 2)
-        return k
 
     @property
     def internal(self) -> tuple[int, ...]:

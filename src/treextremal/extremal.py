@@ -30,7 +30,9 @@ BudgetExceeded and returns nothing. It builds no Tree: each winner is
 recounted by the general product DP (count_subtrees's) on the winner's
 parent array, and a disagreement raises InternalInconsistency, so the
 shortcut is cross-checked on every search. A Tree is built only for the
-winners a report lists.
+winners a report lists, and each is reported with the pendant vector the
+search or formula already holds; only brute-search winners have theirs
+read back off the tree (caterpillar_from_tree).
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
@@ -136,8 +138,9 @@ class TrichotomyCase:
     integers. Tag I: lhs > rhs with d4 != d5. Tag III: lhs < rhs with
     d4 != d5. Tag II otherwise, which is d4 = d5: lhs is a power of two and
     rhs has the odd factor 1 + 2^(d2-1) >= 3, so the two are never equal.
-    Tag II predicts both candidate arrangements, but with d4 = d5 they are
-    the same one, so every tag predicts a single minimizer.
+    The minimizer is C(d1-2, d5-2, d4-2, d3-2, d2-2) when lhs > rhs and
+    C(d1-2, d4-2, d5-2, d3-2, d2-2) otherwise; under tag II (d4 = d5) the
+    two are the same arrangement, so every tag predicts a single minimizer.
     """
 
     tag: str  # "I" | "II" | "III"
@@ -156,16 +159,9 @@ def predict_min_k5(ds: DegreeSequence) -> tuple[TrichotomyCase, set[tuple[int, .
     same45 = d[3] == d[4]
     swap_last_two = (d[0] - 2, d[4] - 2, d[3] - 2, d[2] - 2, d[1] - 2)
     keep_order = (d[0] - 2, d[3] - 2, d[4] - 2, d[2] - 2, d[1] - 2)
-    if lhs > rhs and not same45:
-        tag, vectors = "I", {swap_last_two}
-    elif lhs < rhs and not same45:
-        tag, vectors = "III", {keep_order}
-    else:
-        tag, vectors = "II", {swap_last_two, keep_order}
-    return (
-        TrichotomyCase(tag, lhs, rhs, same45),
-        {caterpillar_canonical(v) for v in vectors},
-    )
+    tag = "II" if same45 else "I" if lhs > rhs else "III"  # lhs != rhs
+    y = swap_last_two if lhs > rhs else keep_order
+    return TrichotomyCase(tag, lhs, rhs, same45), {caterpillar_canonical(y)}
 
 
 def extremes(items, score, maximize=False):
@@ -314,12 +310,19 @@ def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
     return best, winners, examined
 
 
-def _report(ds, objective, optimum, winner_trees, method, examined) -> ExtremalReport:
+def _report(ds, objective, optimum, winners, method, examined) -> ExtremalReport:
+    """The report listing winners, (tree, y) pairs with y the tree's
+    canonical pendant vector (None when it has none), sorted by code."""
     optimizers = sorted(
-        (Optimizer(t, canonical_form(t), caterpillar_from_tree(t)) for t in winner_trees),
+        (Optimizer(t, canonical_form(t), y) for t, y in winners),
         key=lambda o: o.canonical_code,
     )
     return ExtremalReport(ds, objective, optimum, optimizers, method, examined)
+
+
+def _caterpillar_winners(ys) -> list[tuple[Tree, tuple[int, ...]]]:
+    """(C(y), y) for each canonical pendant vector y, as _report takes them."""
+    return [(caterpillar_build(y), y) for y in ys]
 
 
 def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[tuple[int, ...]]]:
@@ -346,11 +349,10 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
     if ds.k == 0:  # the single tree on one or two vertices
         (t,) = enumerate_trees(ds, budget)
         method = "closed-form" if method == "auto" else method
-        return _report(ds, objective, count_subtrees(t), [t], method, 1)
+        return _report(ds, objective, count_subtrees(t), [(t, None)], method, 1)
     if method == "closed-form":
         value, ys = _closed_form_minimizers(ds)
-        trees = [caterpillar_build(y) for y in ys]
-        return _report(ds, objective, value, trees, method, len(ys))
+        return _report(ds, objective, value, _caterpillar_winners(ys), method, len(ys))
     refused = None  # the full search's refusal, when auto max falls back
     if method == "auto":
         if maximize:
@@ -369,12 +371,12 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
                     f"closed form disagrees with caterpillar search for {ds}: "
                     f"formula {value}, search {best}"
                 )
-            trees = [caterpillar_build(y) for y in winners]
-            return _report(ds, objective, value, trees, "closed-form", examined)
+            return _report(ds, objective, value, _caterpillar_winners(ys), "closed-form", examined)
         else:
             method = "caterpillar"
     if method == "brute":
-        best, winners, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
+        best, trees, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
+        winners = [(t, caterpillar_from_tree(t)) for t in trees]
     else:
         try:
             best, ys, examined = _caterpillar_extremes(ds, budget, maximize)
@@ -382,7 +384,7 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
             if refused is None:
                 raise
             raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}") from None
-        winners = [caterpillar_build(y) for y in ys]
+        winners = _caterpillar_winners(ys)
     return _report(ds, objective, best, winners, method, examined)
 
 

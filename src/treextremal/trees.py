@@ -7,6 +7,8 @@ to share between threads.
 
 The diameter is one height pass over a single BFS (_diameter takes the
 traversal, so `treextremal count` reuses the one its counts come from).
+A longest path itself comes from a double sweep (_longest_path), which
+both the centers and a caterpillar's spine are read from.
 The edge-list parser converts every edge in one pass and re-reads the
 lines one by one only to name the first bad one.
 """
@@ -149,6 +151,20 @@ def _diameter(order: list[int], parent: list[int]) -> int:
         elif h > second[p]:
             second[p] = h
     return max(map(add, tallest, second))
+
+
+def _longest_path(t: Tree) -> list[int]:
+    """The vertices of a longest path, from one end to the other.
+
+    Double sweep: the last vertex a BFS visits is an end of a longest path,
+    and a BFS from it visits the other end last.
+    """
+    far = bfs(t, 0)[0][-1]
+    order, parent, _ = bfs(t, far)
+    path = [order[-1]]
+    while path[-1] != far:
+        path.append(parent[path[-1]])
+    return path
 
 
 def is_caterpillar(t: Tree) -> bool:

@@ -9,7 +9,11 @@ from itertools import combinations
 
 from treextremal.canonical import canonical_form, centers, rooted_code
 from treextremal.caterpillars import caterpillar_build
-from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
+from treextremal.enumeration import (
+    enumerate_all_trees,
+    enumerate_degree_sequences,
+    enumerate_trees,
+)
 from treextremal.prufer import prufer_decode
 from treextremal.trees import Tree, path_tree, star_tree
 
@@ -97,12 +101,40 @@ def test_codes_agree_with_brute_force_up_to_n8():
         assert brute_force_isomorphic(t, copy)
 
 
+def leaf_stripping_centers(t: Tree) -> list[int]:
+    """Centers by iterative leaf stripping, independent of any path."""
+    if t.n <= 2:
+        return list(range(t.n))
+    degree = [len(a) for a in t.adjacency]
+    layer = [v for v in range(t.n) if degree[v] == 1]
+    remaining = t.n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in t.adjacency[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+            degree[v] = 0
+        layer = nxt
+    return sorted(layer)
+
+
 def test_centers():
     assert centers(path_tree(5)) == [2]
     assert centers(path_tree(6)) == [2, 3]
     assert centers(star_tree(7)) == [0]
     assert centers(Tree(1, [])) == [0]
     assert centers(Tree(2, [(0, 1)])) == [0, 1]
+    trees = [t for n in range(1, 13) for _, ts in enumerate_all_trees(n) for t in ts]
+    assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235 + 551
+    rng = random.Random(60)
+    for _ in range(200):
+        n = rng.randint(3, 60)
+        trees.append(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n))
+    for t in trees:
+        assert centers(t) == leaf_stripping_centers(t), t
 
 
 def test_rooted_code_shape():

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -585,3 +589,21 @@ def test_count_fields_match_oracles(run, tmp_path):
         if t.n <= 12:
             assert int(results["phi"]) == brute_force_count(t)
             assert per_vertex == [_oracle_containing(t, v) for v in range(t.n)]
+
+
+def test_exit_codes_reach_the_shell():
+    """`python -m treextremal` passes main's exit code to the process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, code in (
+        (["count", "--caterpillar", "1,0"], 0),
+        (["extremal", "--degseq", "3,3,1"], 2),
+        (["extremal", "--degseq", "3,2,2,1,1,1", "--method", "brute", "--budget-labeled", "1"], 3),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "treextremal", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == code, (argv, done.stderr)
+        if code:
+            assert done.stderr.startswith("error: ")
+        else:
+            assert json.loads(done.stdout)["results"]["phi"] == "17"

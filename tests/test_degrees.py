@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from treextremal.degrees import DegreeSequence, degree_sequence, parse_degree_sequence
@@ -31,6 +33,12 @@ def test_parse_rejects_malformed_text():
             parse_degree_sequence(bad)
 
 
+def test_non_integer_degrees_are_refused():
+    for bad in ([2.5, 1.5, 1, 1], [3.0, 1, 1, 1], ["2", 1, 1], [2, 1, None]):
+        with pytest.raises(NotATreeSequence, match="integers"):
+            degree_sequence(bad)
+
+
 def test_sorting_is_automatic():
     assert degree_sequence([1, 3, 1, 2, 1]).degrees == (3, 2, 1, 1, 1)
 
@@ -55,5 +63,6 @@ def test_k_is_counted_once_outside_the_fields():
     a = parse_degree_sequence("4,3,2,1*5")
     b = parse_degree_sequence("4,3,2,1*5")
     assert (a.k, a.internal, a.n - a.k) == (3, (4, 3, 2), 5)
-    assert "k" in vars(a) and "k" not in vars(b)  # cached on first access
+    # Counted at construction, before any read, and kept outside the fields.
+    assert vars(b)["k"] == 3 and "k" not in {f.name for f in fields(b)}
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

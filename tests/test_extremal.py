@@ -11,7 +11,7 @@ import random
 import pytest
 
 from treextremal.canonical import canonical_form
-from treextremal.caterpillars import caterpillar_build
+from treextremal.caterpillars import caterpillar_build, caterpillar_from_tree
 from treextremal.counting import (
     _down_counts,
     brute_force_count,
@@ -422,6 +422,24 @@ def test_optimizers_are_sorted_and_consistent():
             for opt in report.optimizers:
                 assert degree_sequence(map(len, opt.tree.adjacency)).degrees == ds.degrees
                 assert count_subtrees(opt.tree) == report.optimum
+
+
+def test_every_optimizer_y_vector_is_read_off_its_tree():
+    # Caterpillar and closed-form reports pass on the y their search holds;
+    # it must be the pendant vector the reported tree itself has.
+    small = [ds for n in range(1, 12) for ds in enumerate_degree_sequences(n)]
+    large = [parse_degree_sequence(s) for s in (DISTINCT_12, "3,2*13,1*3")]
+    large.append(DegreeSequence((3,) * 6 + (1,) * 8))
+    for ds in small + large:
+        for search, maximize in ((find_min_subtrees, False), (find_max_subtrees, True)):
+            methods = ["auto", "caterpillar"]
+            if ds.n <= 11:
+                methods.append("brute")
+            if not maximize and ds.k <= 5:
+                methods.append("closed-form")
+            for method in methods:
+                for opt in search(ds, method).optimizers:
+                    assert opt.y_vector == caterpillar_from_tree(opt.tree), (ds, method)
 
 
 # ---------------------------------------------------------------------------
