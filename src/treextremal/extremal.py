@@ -36,7 +36,9 @@ read back off the tree (caterpillar_from_tree).
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
-end.
+end. One generator (_branch_shifts) finds a tree's valid (y, v_r) pairs,
+one BFS per leaf ending a longest path, for branch_shift_context and the
+eq-2.1 sweep alike.
 """
 
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ from .enumeration import (
     EnumerationBudget,
     enumerate_trees,
 )
-from .trees import Tree, bfs, diameter, is_caterpillar
+from .trees import Tree, _path_to_root, bfs, diameter, is_caterpillar
 
 MIN_SUBTREES = "min-subtrees"
 MAX_SUBTREES = "max-subtrees"
@@ -458,40 +460,45 @@ def branch_shift_context(t: Tree, y: int, v_r: int) -> BranchShiftContext:
     t.check_vertex(v_r)
     if is_caterpillar(t):
         raise NotApplicable("tree is already a caterpillar")
-    return _branch_shift_context(t, y, v_r, diameter(t), {})
-
-
-def _branch_shift_context(t: Tree, y: int, v_r: int, diam: int, searches: dict):
-    """branch_shift_context on a non-caterpillar t of diameter diam, for
-    valid vertices; searches memoizes the BFS (order, parent, dist) from
-    each leaf v_r, so a caller trying many pairs on one tree runs one per
-    leaf."""
     if len(t.adjacency[y]) < 2:
         raise NotApplicable(f"vertex {y} has no children to move")
     if len(t.adjacency[v_r]) != 1:
         raise NotApplicable(f"vertex {v_r} is not a leaf")
-    if v_r not in searches:
-        searches[v_r] = bfs(t, v_r)
-    _, parent, dist = searches[v_r]
-    if max(dist) != diam:
-        raise NotApplicable(f"vertex {v_r} is not the endpoint of a longest path")
-    v_l = parent[y]
-    if not (2 <= dist[v_l] <= diam - 2):
-        raise NotApplicable(
-            f"attachment vertex {v_l} is within distance 1 of a path end"
-        )
-    # Pick the lexicographically first farthest vertex whose path back to
-    # v_r runs through v_l but not through y.
-    for u in range(t.n):
-        if dist[u] != diam:
+    for ctx, _ in _branch_shifts(t, (y,), (v_r,)):
+        return ctx
+    raise NotApplicable(f"no longest path ending at {v_r} avoids {y} and passes "
+                        f"{y}'s attachment at distance >= 2 from both ends")
+
+
+def _branch_shifts(t: Tree, ys, leaves):
+    """Yield (ctx, down) for every valid branch shift (y, v_r) of the
+    non-caterpillar t with y in ys and v_r in leaves, y-major; down is t's
+    rooted counts from v_r. One BFS and one product DP per leaf that ends a
+    longest path serve every y. The path starts at the first farthest
+    vertex, by label, whose path to v_r passes v_l (y's BFS parent) but not
+    y; path[i] is at distance diam - i, so v_l can only be path[l] with
+    l = diam - dist[v_l], and y only path[l - 1]."""
+    diam = diameter(t)
+    ends = []
+    for v_r in leaves:
+        order, parent, dist = bfs(t, v_r)
+        if dist[order[-1]] == diam:
+            far = [u for u in range(t.n) if dist[u] == diam]
+            paths = [tuple(_path_to_root(parent, u)) for u in far]
+            ends.append((v_r, parent, dist, paths, _rooted_counts(order, parent)))
+    for y in ys:
+        if len(t.adjacency[y]) < 2:
             continue
-        chain = [u]
-        while chain[-1] != v_r:
-            chain.append(parent[chain[-1]])
-        if v_l in chain and y not in chain:
-            moved = tuple(sorted(w for w in t.adjacency[y] if w != v_l))
-            return BranchShiftContext(tuple(chain), chain.index(v_l), y, v_r, moved)
-    raise NotApplicable(f"no longest path ending at {v_r} passes the attachment")
+        for v_r, parent, dist, paths, down in ends:
+            v_l = parent[y]
+            l = diam - dist[v_l]
+            if not 2 <= l <= diam - 2:
+                continue
+            for path in paths:
+                if path[l] == v_l and path[l - 1] != y:
+                    moved = tuple(w for w in t.adjacency[y] if w != v_l)
+                    yield BranchShiftContext(path, l, y, v_r, moved), down
+                    break
 
 
 def shift_branch_to_end(t: Tree, y: int, v_r: int) -> Tree:
@@ -535,9 +542,8 @@ def branch_shift_inequality(t: Tree, ctx: BranchShiftContext) -> tuple[int, int,
 
 
 def _shift_weights(ctx: BranchShiftContext, down: list[int]) -> tuple[int, int, int]:
-    """branch_shift_inequality from the rooted counts down of the tree
-    rooted at ctx.v_r, which depend only on v_r: a caller trying many pairs
-    on one tree computes them once per leaf."""
+    """branch_shift_inequality from down, the rooted counts of the tree
+    from ctx.v_r, which _branch_shifts yields once per leaf."""
     path = ctx.path
     l, r = ctx.l, len(path) - 1
     # Rooted at v_r, path[i + 1] is the parent of path[i] and v_l the parent

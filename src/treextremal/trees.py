@@ -25,30 +25,35 @@ class Tree:
     __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise InvalidTree(f"vertex count must be >= 1, got {n}")
-        normalized = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidTree(f"edge ({u}, {v}) has a label outside 0..{n - 1}")
-            if u == v:
-                raise InvalidTree(f"self-loop at vertex {u}")
-            normalized.append((u, v) if u < v else (v, u))
-        normalized.sort()
-        if len(normalized) != n - 1:
-            raise InvalidTree(f"expected {n - 1} edges for n={n}, got {len(normalized)}")
-        # Sorted (u < v) edges list each vertex's lower neighbours first and
-        # each group ascending, so every adjacency list comes out sorted, and
-        # a duplicate sits next to its twin.
-        adj: list[list[int]] = [[] for _ in range(n)]
-        previous = None
-        for edge in normalized:
-            if edge == previous:
-                raise InvalidTree("duplicate edge")
-            previous = edge
-            u, v = edge
-            adj[u].append(v)
-            adj[v].append(u)
+        try:  # non-integers fail a comparison or an index, non-pairs an unpack
+            if n < 1:
+                raise InvalidTree(f"vertex count must be >= 1, got {n}")
+            normalized = []
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidTree(f"edge ({u}, {v}) has a label outside 0..{n - 1}")
+                if u == v:
+                    raise InvalidTree(f"self-loop at vertex {u}")
+                normalized.append((u, v) if u < v else (v, u))
+            normalized.sort()
+            if len(normalized) != n - 1:
+                raise InvalidTree(f"expected {n - 1} edges for n={n}, got {len(normalized)}")
+            # Sorted (u < v) edges list each vertex's lower neighbours first and
+            # each group ascending, so every adjacency list comes out sorted, and
+            # a duplicate sits next to its twin.
+            adj: list[list[int]] = [[] for _ in range(n)]
+            previous = None
+            for edge in normalized:
+                if edge == previous:
+                    raise InvalidTree("duplicate edge")
+                previous = edge
+                u, v = edge
+                adj[u].append(v)
+                adj[v].append(u)
+        except InvalidTree:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InvalidTree(f"labels and count must be integers, edges pairs: {exc}") from None
 
         # Connectivity; acyclicity follows from the edge count.
         if n > 1:
@@ -161,8 +166,13 @@ def _longest_path(t: Tree) -> list[int]:
     """
     far = bfs(t, 0)[0][-1]
     order, parent, _ = bfs(t, far)
-    path = [order[-1]]
-    while path[-1] != far:
+    return _path_to_root(parent, order[-1])
+
+
+def _path_to_root(parent: list[int], u: int) -> list[int]:
+    """u, its parent, and so on up to the root (parent -1) of a traversal."""
+    path = [u]
+    while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
     return path
 

@@ -23,7 +23,7 @@ Claim identifiers (the CLI contract):
                       minimizers match exhaustive search
   thm-4.2             the k = 5 trichotomy predicts the exact minimizer set
   eq-2.1-monotonic    the branch shift strictly decreases the count whenever
-                      its inequality holds
+                      its inequality holds (shifted Trees are recounted)
   wiener-correspondence  report-only comparison of subtree and Wiener optima
 """
 
@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .canonical import canonical_form
 from .caterpillars import caterpillar_canonical
-from .counting import _rooted_counts, count_subtrees, wiener_index
+from .counting import count_subtrees, wiener_index
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -41,7 +41,7 @@ from .enumeration import (
     enumerate_degree_sequences,
 )
 from .extremal import (
-    _branch_shift_context,
+    _branch_shifts,
     _caterpillar_extremes,
     _shift_weights,
     _shifted,
@@ -49,8 +49,7 @@ from .extremal import (
     extremes,
     predict_min_k5,
 )
-from .errors import NotApplicable
-from .trees import diameter, is_caterpillar
+from .trees import is_caterpillar
 
 PASS = "pass"
 FAIL = "fail"
@@ -264,42 +263,25 @@ def verify_transformation_monotonicity(
                 continue
             trees_seen += 1
             phi = count_subtrees(t)
-            # The caterpillar test and the diameter are per-tree facts, and
-            # the BFS from each leaf, and the rooted counts on it, are
-            # shared by every y. Only a y with children to move and a leaf
-            # v_r can form a pair.
-            diam = diameter(t)
-            searches = {}
-            downs = {}
-            leaves = t.leaves()
-            for y in range(t.n):
-                if len(t.adjacency[y]) < 2:
+            for ctx, down in _branch_shifts(t, range(t.n), t.leaves()):
+                weight, tail, branch = _shift_weights(ctx, down)
+                if not (weight > tail and branch > 1):
                     continue
-                for v_r in leaves:
-                    try:
-                        ctx = _branch_shift_context(t, y, v_r, diam, searches)
-                    except NotApplicable:
-                        continue
-                    if v_r not in downs:
-                        downs[v_r] = _rooted_counts(*searches[v_r][:2])
-                    weight, tail, branch = _shift_weights(ctx, downs[v_r])
-                    if not (weight > tail and branch > 1):
-                        continue
-                    applicable += 1
-                    shifted = _shifted(t, ctx)
-                    phi2 = count_subtrees(shifted)
-                    if phi2 < phi:
-                        decreased += 1
-                    else:
-                        failures.append(
-                            _record(
-                                ds,
-                                [canonical_form(t), canonical_form(shifted)],
-                                f"count below {phi}",
-                                str(phi2),
-                                instance={"y": y, "v_r": v_r},
-                            )
+                applicable += 1
+                shifted = _shifted(t, ctx)
+                phi2 = count_subtrees(shifted)
+                if phi2 < phi:
+                    decreased += 1
+                else:
+                    failures.append(
+                        _record(
+                            ds,
+                            [canonical_form(t), canonical_form(shifted)],
+                            f"count below {phi}",
+                            str(phi2),
+                            instance={"y": ctx.y, "v_r": ctx.v_r},
                         )
+                    )
     findings = {
         "non_caterpillar_trees": trees_seen,
         "applicable_instances": applicable,

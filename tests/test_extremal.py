@@ -6,6 +6,8 @@ DP already proven equal to it) and frozen.
 """
 
 import gc
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from treextremal.enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
     count_caterpillar_arrangements,
+    enumerate_all_trees,
     enumerate_caterpillars,
     enumerate_degree_sequences,
     enumerate_trees,
@@ -36,6 +39,7 @@ from treextremal.errors import (
     WrongK,
 )
 from treextremal.extremal import (
+    _branch_shifts,
     _caterpillar_search,
     _phi_bound,
     _seed_arrangement,
@@ -465,6 +469,51 @@ def test_branch_shift_not_applicable():
         shift_branch_to_end(SPIDER, 2, 4)  # y is a leaf
     with pytest.raises(NotApplicable):
         shift_branch_to_end(SPIDER, 1, 0)  # v_r is not a leaf
+    no_path = "no longest path ending at"
+    # Leaf 7 of the spider with one short leg is 3 from every vertex but
+    # the diameter is 4.
+    short_leg = Tree(8, list(SPIDER.edges) + [(0, 7)])
+    with pytest.raises(NotApplicable, match=no_path):
+        branch_shift_context(short_leg, 1, 7)
+    # From v_r = 2, y = 0 hangs off v_l = 1, next to the end.
+    with pytest.raises(NotApplicable, match=no_path):
+        branch_shift_context(SPIDER, 0, 2)
+    # The one longest path from 4, 7-2-1-0-3-4, runs through y = 1; y = 5
+    # hangs off the same v_l = 0 beside it.
+    long_leg = Tree(8, [(0, 1), (1, 2), (2, 7), (0, 3), (3, 4), (0, 5), (5, 6)])
+    with pytest.raises(NotApplicable, match=no_path):
+        branch_shift_context(long_leg, 1, 4)
+    assert branch_shift_context(long_leg, 5, 4).path == (7, 2, 1, 0, 3, 4)
+
+
+# sha256 of json.dumps([[list(path), l, y, v_r, list(moved_children)], ...])
+# over every context branch_shift_context returns for every non-caterpillar
+# tree with n <= 10, in enumerate_all_trees order and y-major, frozen from
+# the implementation that validated one (y, v_r) pair per call.
+CONTEXTS_N10 = (318, "9c25e51bd807ea243b4b30967e824b5d45aff123a9e62617d0362c8ea92305eb")
+
+
+def test_branch_shift_pairs_agree_with_the_public_validator():
+    rows = []
+    for n in range(2, 11):
+        for _, trees in enumerate_all_trees(n):
+            for t in trees:
+                if is_caterpillar(t):
+                    continue
+                public = []
+                for y in range(t.n):
+                    for v_r in range(t.n):
+                        try:
+                            public.append(branch_shift_context(t, y, v_r))
+                        except NotApplicable:
+                            pass
+                shifts = list(_branch_shifts(t, range(t.n), t.leaves()))
+                assert [ctx for ctx, _ in shifts] == public
+                for ctx, down in shifts:
+                    assert down == _down_counts(t, ctx.v_r)[0]
+                rows += [[list(c.path), c.l, c.y, c.v_r, list(c.moved_children)] for c in public]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == CONTEXTS_N10
 
 
 def test_branch_shift_tail_weight_telescopes():

@@ -35,6 +35,14 @@ def test_tree_validation_rejects_bad_inputs():
         Tree(4, [(0, 1), (2, 3), (0, 1)])  # disconnected once deduped fails count
     with pytest.raises(InvalidTree):
         Tree(0, [])
+    with pytest.raises(InvalidTree):
+        Tree(3, [(0, 1.0), (1, 2)])  # float label
+    with pytest.raises(InvalidTree):
+        Tree(3.0, [(0, 1), (1, 2)])  # float vertex count
+    with pytest.raises(InvalidTree):
+        Tree(3, [(0, "1"), (1, 2)])  # string label
+    with pytest.raises(InvalidTree):
+        Tree(3, [(0, 1, 2), (1, 2)])  # edge that is not a pair
 
 
 def test_tree_validation_messages():

@@ -179,7 +179,9 @@ def test_caterpillar_sweep_recounts_winners(monkeypatch):
 
 # sha256 of json.dumps(run_claim(claim, n).to_payload(), sort_keys=True) for
 # each claim at each cap of the benchmark's sweep ladders, past the claim's
-# default cap too, and at the default itself.
+# default cap too, and at the default itself. eq-2.1-monotonic@12 (427
+# non-caterpillar trees, 1,801 applicable shifts) reaches past the 15 trees
+# its ladder sees.
 GOLDEN_PAYLOADS = {
     "thm-2.1@4": "f059c15aac836f62baa976d42d244ad7ab92a06d68873761d7a986b38f075dc3",
     "thm-2.1@5": "2dc7b3e10a0f9ec6a5a7442633b82cda86fd4c2278dce6213efb3afda0bc1055",
@@ -193,6 +195,7 @@ GOLDEN_PAYLOADS = {
     "eq-2.1-monotonic@7": "abbd10ba3822246c5fcd11d86630ac882712052d4f691b54086b014c1c7bd17f",
     "eq-2.1-monotonic@8": "9c20c1eb390bad112a4b8c81499f1152cb758a97c7f151ff16340af485e25bed",
     "eq-2.1-monotonic@9": "586f7555809e1aa866cef7c80342eb39cdbb0551fc146a96f0fbe04edc6ca7e8",
+    "eq-2.1-monotonic@12": "b78be3705041b06aafbe31daa5a31d2738ecbf610942e77b6ced7a3f16e8d220",
     "wiener-correspondence@4": "cb89f5da66cfd248a8e5c8a2ad094ce31809c566cc6e5256250947e92db2bb52",
     "wiener-correspondence@5": "116447796cb848444707d2623806669790741db469eaf3c831be214fe0e3455d",
     "wiener-correspondence@6": "9f82a53eb66689bcd3ba0106a6b39f9e3ed6bc6d24a9a55aa8e7af2a65be1a60",
