@@ -11,9 +11,9 @@ call.
 
 Every JSON document is written by one writer whose bytes are those of
 json.dumps(document, indent=2). `count` reads all its fields off one rooted
-traversal, makes the decimal text of each distinct per-vertex count once,
-and hands the list to the writer as _Digits, which it joins without
-escaping.
+traversal, plus one BFS from its last vertex for the diameter, makes the
+decimal text of each distinct per-vertex count once, and hands the list to
+the writer as _Digits, which it joins without escaping.
 """
 
 import argparse
@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+from typing import Iterable
 
 from .caterpillars import caterpillar_build, caterpillar_from_tree
 from .canonical import canonical_form
@@ -31,7 +32,7 @@ from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
 from .errors import BudgetExceeded, InternalInconsistency, ParseError, TooLarge, TreextremalError
 from .extremal import METHODS, find_max_subtrees, find_min_subtrees
-from .trees import _diameter, is_caterpillar, tree_from_edge_list
+from .trees import _eccentricity, is_caterpillar, tree_from_edge_list
 from .verify import CLAIM_IDS, FAIL, run_claim
 
 SCHEMA_VERSION = "1"
@@ -91,11 +92,15 @@ def _json_pieces(value, indent: str = "", out: list[str] | None = None) -> list[
     return out
 
 
-def _emit(args, document: dict, csv_rows: list[dict] | None = None) -> None:
-    """Write the document as JSON, or csv_rows as CSV when they are given."""
+_CSV_FIELDS = ("canonical_code", "y_vector_or_blank", "phi", "wiener")
+
+
+def _emit(args, document: dict, csv_rows: Iterable[dict] | None = None) -> None:
+    """Write the document as JSON, or csv_rows (_CSV_FIELDS) as CSV when they
+    are given."""
     if csv_rows is not None:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else [])
+        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS)
         writer.writeheader()
         writer.writerows(csv_rows)
         pieces = [buf.getvalue()]
@@ -160,8 +165,10 @@ def cmd_count(args) -> int:
 
 
 def _count_results(t) -> dict:
-    """Every field of a count document, read off one rooted traversal. The
-    integers are dropped on return, before the document is written."""
+    """Every field of a count document, read off one rooted traversal, plus
+    one BFS from its last vertex (an end of a longest path) for the
+    diameter. The integers are dropped on return, before the document is
+    written."""
     down, order, parent = _down_counts(t, 0)
     per_vertex = _reroot(down, order, parent)
     text = {v: str(v) for v in set(per_vertex)}  # leaves sharing a neighbour share a count
@@ -169,7 +176,7 @@ def _count_results(t) -> dict:
         "n": t.n,
         "phi": str(sum(down)),
         "per_vertex": _Digits(map(text.__getitem__, per_vertex)),
-        "diameter": _diameter(order, parent),
+        "diameter": _eccentricity(t, order[-1]),
         "is_caterpillar": is_caterpillar(t),
         "wiener": str(_wiener(order, parent)),
     }
@@ -212,7 +219,7 @@ def cmd_enumerate(args) -> int:
     inputs = {"degseq": args.degseq, "caterpillars_only": args.caterpillars_only}
     csv_rows = None
     if args.format == "csv":
-        csv_rows = [
+        csv_rows = (
             {
                 "canonical_code": r["canonical_code"],
                 "y_vector_or_blank": " ".join(str(v) for v in r["y_vector"]) if r["y_vector"] else "",
@@ -220,7 +227,7 @@ def cmd_enumerate(args) -> int:
                 "wiener": r["wiener"],
             }
             for r in rows
-        ]
+        )
     _emit(args, _document("enumerate", inputs, {"count": len(rows), "trees": rows}), csv_rows)
     return EXIT_OK
 

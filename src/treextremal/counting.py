@@ -17,11 +17,11 @@ The product DP (_rooted_counts), the rerooting and the Wiener index are
 each written once, as a private helper over a rooted traversal (order,
 parent), and the traversal has two sources. One is a BFS of a Tree: the
 public functions run one of their own, and `treextremal count` takes one
-_down_counts traversal and reads phi, every per-vertex count, the Wiener
-index and (trees._diameter) the diameter off it. The other is a
-caterpillar's parent array (caterpillars._caterpillar_parents), which needs
-no Tree and no BFS: range(n) already lists its parents before their
-children.
+_down_counts traversal and reads phi, every per-vertex count and the Wiener
+index off it (the diameter comes from one BFS from its last vertex). The
+other is a caterpillar's parent array (caterpillars._caterpillar_parents),
+which needs no Tree and no BFS: range(n) already lists its parents before
+their children.
 
 caterpillar_phi counts a caterpillar straight from its pendant vector in
 O(k), with no Tree; the caterpillar search in extremal runs the same

@@ -5,15 +5,17 @@ A tree on n vertices is stored as a sorted tuple of n - 1 undirected edges
 loops or duplicates, connectivity); after that a Tree is immutable and safe
 to share between threads.
 
-The diameter is one height pass over a single BFS (_diameter takes the
-traversal, so `treextremal count` reuses the one its counts come from).
-A longest path itself comes from a double sweep (_longest_path), which
-both the centers and a caterpillar's spine are read from.
+There is one graph walk, _walk: bfs runs it on a Tree, and Tree checks
+connectivity with it on the adjacency lists it has just built. There is one
+longest-path algorithm, the double sweep (_longest_path): the last vertex a
+BFS visits ends a longest path, and a BFS from there reaches the other end
+last. The diameter, the centers and a caterpillar's spine are read off it;
+`treextremal count` runs only the second sweep (_eccentricity), from the
+last vertex of the traversal its counts come from.
 The edge-list parser converts every edge in one pass and re-reads the
 lines one by one only to name the first bad one.
 """
 
-from operator import add
 from typing import Iterable
 
 from .errors import InvalidTree, ParseError, VertexOutOfRange
@@ -56,20 +58,8 @@ class Tree:
             raise InvalidTree(f"labels and count must be integers, edges pairs: {exc}") from None
 
         # Connectivity; acyclicity follows from the edge count.
-        if n > 1:
-            seen = [False] * n
-            seen[0] = True
-            stack = [0]
-            reached = 1
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        reached += 1
-                        stack.append(y)
-            if reached != n:
-                raise InvalidTree("edge set is not connected")
+        if len(_walk(adj, 0)[0]) != n:
+            raise InvalidTree("edge set is not connected")
 
         self.n = n
         self.edges = tuple(normalized)
@@ -115,11 +105,16 @@ def bfs(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     the root) and its distance from the root.
     """
     t.check_vertex(root)
-    parent = [-1] * t.n
-    dist = [-1] * t.n
+    return _walk(t.adjacency, root)
+
+
+def _walk(adjacency, root: int) -> tuple[list[int], list[int], list[int]]:
+    """bfs over adjacency lists; order lists only the vertices root reaches."""
+    n = len(adjacency)
+    parent = [-1] * n
+    dist = [-1] * n
     dist[root] = 0
     order = [root]
-    adjacency = t.adjacency
     for v in order:  # the loop also visits the vertices appended below
         d = dist[v] + 1
         for w in adjacency[v]:
@@ -131,31 +126,15 @@ def bfs(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def diameter(t: Tree) -> int:
-    """Length of a longest path, from one BFS rooted at 0 (see _diameter)."""
-    order, parent, _ = bfs(t, 0)
-    return _diameter(order, parent)
+    """Length of a longest path (see _longest_path)."""
+    return len(_longest_path(t)) - 1
 
 
-def _diameter(order: list[int], parent: list[int]) -> int:
-    """Diameter from a rooted traversal (parents before children).
-
-    A longest path turns at its vertex closest to the root, so it is the
-    largest sum, over vertices, of the two tallest branches hanging below
-    one vertex. Children come before parents in the reversed order, so each
-    vertex's height is final before it is offered to its parent.
-    """
-    n = len(order)
-    tallest = [0] * n  # edges on the longest downward path from v
-    second = [0] * n  # the same through a different child (0 if none)
-    for v in reversed(order[1:]):
-        h = tallest[v] + 1
-        p = parent[v]
-        if h > tallest[p]:
-            second[p] = tallest[p]
-            tallest[p] = h
-        elif h > second[p]:
-            second[p] = h
-    return max(map(add, tallest, second))
+def _eccentricity(t: Tree, v: int) -> int:
+    """The largest distance from v: the diameter when v ends a longest
+    path, as the last vertex of any BFS of t does."""
+    order, _, dist = bfs(t, v)
+    return dist[order[-1]]
 
 
 def _longest_path(t: Tree) -> list[int]:

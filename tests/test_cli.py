@@ -532,10 +532,9 @@ def test_writer_matches_json_dumps(value):
     assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
 
 
-def _double_sweep_diameter(t):
-    """The last vertex a BFS visits is an end of a longest path."""
-    far = bfs(t, 0)[0][-1]
-    return max(bfs(t, far)[2])
+def _all_pairs_diameter(t):
+    """The largest eccentricity, from a BFS at every vertex."""
+    return max(max(bfs(t, v)[2]) for v in range(t.n))
 
 
 def _all_pairs_wiener(t):
@@ -573,16 +572,16 @@ def _seeded_trees():
 
 
 def test_count_fields_match_oracles(run, tmp_path):
-    """Every field of a count document is read off one rooted traversal.
-    Each is held against the public function for it and against a route
-    that shares none of its code: a double sweep, all-pairs BFS and, for
-    n <= 12, subset growth."""
+    """Every field of a count document is read off one rooted traversal
+    (the diameter off one more BFS). Each is held against the public function for it and against a route
+    that shares none of its code: all-pairs BFS and, for n <= 12, subset
+    growth."""
     for t in _seeded_trees():
         code, out, _ = run("count", _edge_file(tmp_path, t.n, t.edges))
         assert code == 0
         results = json.loads(out)["results"]
         per_vertex = [int(x) for x in results["per_vertex"]]
-        assert results["diameter"] == diameter(t) == _double_sweep_diameter(t)
+        assert results["diameter"] == diameter(t) == _all_pairs_diameter(t)
         assert int(results["wiener"]) == wiener_index(t) == _all_pairs_wiener(t)
         assert per_vertex == count_all_containing(t)
         assert int(results["phi"]) == count_subtrees(t)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from treextremal.degrees import degree_sequence
+from treextremal.enumeration import enumerate_all_trees
 from treextremal.errors import InvalidTree, ParseError, VertexOutOfRange
 from treextremal.trees import (
     Tree,
@@ -61,6 +62,7 @@ def test_tree_validation_messages():
         (3, [(0, 1), (1, 2), (2, 0)], "expected 2 edges for n=3, got 3"),
         (4, [(0, 1), (2, 3), (0, 1)], "duplicate edge"),
         (4, [(0, 1), (1, 2), (2, 0)], "edge set is not connected"),
+        (4, [(1, 2), (2, 3), (3, 1)], "edge set is not connected"),  # vertex 0 cut off
         (0, [], "vertex count must be >= 1, got 0"),
         (0, [(0, 1)], "vertex count must be >= 1, got 0"),
     ]
@@ -84,6 +86,11 @@ def test_degree_queries():
         t.check_vertex(7)
 
 
+def _all_pairs_diameter(t):
+    """The largest eccentricity, from a BFS at every vertex."""
+    return max(max(bfs(t, v)[2]) for v in range(t.n))
+
+
 def test_diameter():
     assert diameter(Tree(1, [])) == 0
     assert diameter(path_tree(2)) == 1
@@ -93,6 +100,13 @@ def test_diameter():
     # path on 4 plus a pendant at the second vertex
     fork = Tree(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     assert diameter(fork) == 3
+    checked = 0
+    for n in range(1, 13):
+        for _, trees in enumerate_all_trees(n):
+            for t in trees:
+                assert diameter(t) == _all_pairs_diameter(t), t
+                checked += 1
+    assert checked == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235 + 551
 
 
 def test_is_caterpillar():
