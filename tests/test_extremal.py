@@ -446,6 +446,44 @@ def test_every_optimizer_y_vector_is_read_off_its_tree():
                     assert opt.y_vector == caterpillar_from_tree(opt.tree), (ds, method)
 
 
+# sha256 of json.dumps of one row per degree sequence with n <= 12, in
+# enumerate_degree_sequences order: [degrees, objective, optimum (decimal
+# string), method, trees_examined, [[code, y or None, edges], ...] per
+# optimizer in report order], frozen from the implementation that coded
+# every optimizer with canonical_form on its validated Tree.
+FROZEN_REPORTS_N12 = {
+    "auto-min": "09d80e687c913a0c299b591964794f064d6f466f39ae682be89290e1c2070d3c",
+    "caterpillar-max": "b549e0b1892fe4245b490294ce48ad7ad89dd3a75775e48ee41be661ba8ddee2",
+    "brute-min": "d5e7a7d1146058f88b77fae00fab4def26e9759ac13fd8585e2b87849deac10a",
+    "brute-max": "2aaedcef8ad8dea387a64e31f7824a31db36d8aec40aa6ede5a4bf0a07737666",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS_N12))
+def test_reports_are_frozen(name):
+    # The bench checks optimizers with its own isomorphism codes, so only
+    # this digest sees a wrong canonical_code, y_vector or edge list.
+    search = {
+        "auto-min": lambda ds: find_min_subtrees(ds),
+        "caterpillar-max": lambda ds: find_max_subtrees(ds, "caterpillar"),
+        "brute-min": lambda ds: find_min_subtrees(ds, "brute"),
+        "brute-max": lambda ds: find_max_subtrees(ds, "brute"),
+    }[name]
+    rows = []
+    for n in range(1, 13):
+        for ds in enumerate_degree_sequences(n):
+            r = search(ds)
+            optimizers = [
+                [o.canonical_code, None if o.y_vector is None else list(o.y_vector),
+                 [list(e) for e in o.tree.edges]]
+                for o in r.optimizers
+            ]
+            rows.append([list(ds.degrees), r.objective, str(r.optimum), r.method,
+                         r.trees_examined, optimizers])
+    assert len(rows) == 140
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FROZEN_REPORTS_N12[name]
+
+
 # ---------------------------------------------------------------------------
 # Branch shift
 # ---------------------------------------------------------------------------
