@@ -26,7 +26,7 @@ import sys
 from typing import Iterable
 
 from .caterpillars import caterpillar_build, caterpillar_from_tree
-from .canonical import canonical_form
+from .canonical import _caterpillar_code, canonical_form
 from .counting import _down_counts, _reroot, _wiener, count_subtrees, wiener_index
 from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
@@ -209,7 +209,7 @@ def cmd_enumerate(args) -> int:
         pairs = ((t, caterpillar_from_tree(t)) for t in enumerate_trees(ds, budget))
     rows = [
         {
-            "canonical_code": canonical_form(t),
+            "canonical_code": canonical_form(t) if y is None else _caterpillar_code(y),
             "y_vector": list(y) if y is not None else None,
             "phi": str(count_subtrees(t)),
             "wiener": str(wiener_index(t)),

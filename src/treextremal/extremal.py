@@ -30,9 +30,12 @@ BudgetExceeded and returns nothing. It builds no Tree: each winner is
 recounted by the general product DP (count_subtrees's) on the winner's
 parent array, and a disagreement raises InternalInconsistency, so the
 shortcut is cross-checked on every search. A Tree is built only for the
-winners a report lists, and each is reported with the pendant vector the
-search or formula already holds; only brute-search winners have theirs
-read back off the tree (caterpillar_from_tree).
+winners a report lists, each from its parent array, and each is reported
+with the pendant vector the search or formula already holds; only
+brute-search winners have theirs read back off the tree
+(caterpillar_from_tree). A report codes every winner that has a pendant
+vector, from that vector alone (canonical._caterpillar_code); only a winner
+that is no caterpillar, or the k = 0 tree, is coded by canonical_form.
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
@@ -43,7 +46,7 @@ eq-2.1 sweep alike.
 
 from dataclasses import dataclass
 
-from .canonical import canonical_form
+from .canonical import _caterpillar_code, canonical_form
 from .caterpillars import (
     _caterpillar_parents,
     caterpillar_build,
@@ -314,9 +317,14 @@ def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
 
 def _report(ds, objective, optimum, winners, method, examined) -> ExtremalReport:
     """The report listing winners, (tree, y) pairs with y the tree's
-    canonical pendant vector (None when it has none), sorted by code."""
+    canonical pendant vector (None when it has none), sorted by code. A
+    caterpillar's code is written from its y; only a tree without one goes
+    through canonical_form."""
     optimizers = sorted(
-        (Optimizer(t, canonical_form(t), y) for t, y in winners),
+        (
+            Optimizer(t, canonical_form(t) if y is None else _caterpillar_code(y), y)
+            for t, y in winners
+        ),
         key=lambda o: o.canonical_code,
     )
     return ExtremalReport(ds, objective, optimum, optimizers, method, examined)

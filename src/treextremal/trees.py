@@ -1,9 +1,11 @@
 """Unrooted trees on dense 0-based vertex labels.
 
 A tree on n vertices is stored as a sorted tuple of n - 1 undirected edges
-(u, v) with u < v. Construction validates everything once (label range, no
-loops or duplicates, connectivity); after that a Tree is immutable and safe
-to share between threads.
+(u, v) with u < v. Construction from an edge list validates everything once
+(label range, no loops or duplicates, connectivity); after that a Tree is
+immutable and safe to share between threads. The package's own generators
+build their trees from parent arrays (_tree_from_parents), where checking
+that each parent is a label below its child is the whole proof of a tree.
 
 There is one graph walk, _walk: bfs runs it on a Tree, and Tree checks
 connectivity with it on the adjacency lists it has just built. There is one
@@ -83,8 +85,32 @@ class Tree:
 
 
 def _tree_from_parents(parent) -> Tree:
-    """The Tree with an edge from each vertex v >= 1 to parent[v]."""
-    return Tree(len(parent), [(parent[v], v) for v in range(1, len(parent))])
+    """The Tree with an edge from each vertex v >= 1 to parent[v] (parent[0]
+    is ignored).
+
+    Each parent must be a label below its child, and that one check proves
+    the array a tree: every vertex but 0 has one edge to a lower label, so
+    following parents reaches 0, and n - 1 edges connecting n vertices form
+    a tree. Only the edges need a sort: each adjacency list comes out
+    sorted, since vertex v gets its parent, its one lower neighbour, at
+    step v and its children at the later steps of their own labels.
+    """
+    n = len(parent)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges = []
+    for v in range(1, n):
+        p = parent[v]
+        if not 0 <= p < v:
+            raise InvalidTree(f"vertex {v} has parent {p}, not a label in 0..{v - 1}")
+        adj[p].append(v)
+        adj[v].append(p)
+        edges.append((p, v))
+    edges.sort()
+    t = object.__new__(Tree)
+    t.n = n
+    t.edges = tuple(edges)
+    t.adjacency = tuple(map(tuple, adj))
+    return t
 
 
 def path_tree(n: int) -> Tree:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -8,8 +10,12 @@ from treextremal.caterpillars import (
     caterpillar_canonical,
     caterpillar_from_tree,
 )
-from treextremal.canonical import canonical_form
-from treextremal.enumeration import enumerate_degree_sequences, enumerate_trees
+from treextremal.canonical import _caterpillar_code, canonical_form
+from treextremal.enumeration import (
+    enumerate_caterpillars,
+    enumerate_degree_sequences,
+    enumerate_trees,
+)
 from treextremal.errors import EmptySpine
 from treextremal.degrees import degree_sequence
 from treextremal.trees import Tree, diameter, is_caterpillar, path_tree, star_tree
@@ -58,14 +64,41 @@ def _edge_loop_build(y) -> Tree:
     return Tree(nxt, edges)
 
 
+@functools.cache
+def _pendant_vectors() -> tuple[tuple[int, ...], ...]:
+    """Every y in {0,1,2}^k for k <= 7, 3,000 seeded random y (k <= 12,
+    entries 0-5), and every caterpillar class of every sequence with
+    n <= 14."""
+    ys = [y for k in range(1, 8) for y in itertools.product(range(3), repeat=k)]
+    rng = random.Random(2113)
+    for _ in range(3000):
+        ys.append(tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 12))))
+    for n in range(3, 15):
+        for ds in enumerate_degree_sequences(n, min_k=1):
+            ys.extend(enumerate_caterpillars(ds))
+    return tuple(ys)
+
+
+def test_caterpillar_code_matches_the_validated_tree():
+    ys = _pendant_vectors()
+    # Harary and Schwenk: 2^(n-4) + 2^floor((n-4)/2) caterpillars on n >= 4
+    # vertices; n = 3 has one, the path.
+    classes = 1 + sum(2 ** (n - 4) + 2 ** ((n - 4) // 2) for n in range(4, 15))
+    assert len(ys) == sum(3**k for k in range(1, 8)) + 3000 + classes
+    assert {len(y) for y in ys} == set(range(1, 13))
+    for y in ys:
+        assert _caterpillar_code(y) == canonical_form(_edge_loop_build(y)), y
+
+
 def test_build_from_parents_matches_the_edge_loop():
-    for k in range(1, 6):
-        for y in itertools.product(range(4), repeat=k):
-            t, want = caterpillar_build(y), _edge_loop_build(y)
-            assert (t.n, t.edges, t.adjacency) == (want.n, want.edges, want.adjacency)
-            parent = _caterpillar_parents(y)
-            assert parent[0] == -1
-            assert all(parent[v] < v for v in range(1, t.n))
+    small = [y for k in range(1, 6) for y in itertools.product(range(4), repeat=k)]
+    for y in small + list(_pendant_vectors()):
+        t, want = caterpillar_build(y), _edge_loop_build(y)
+        assert (t.n, t.edges, t.adjacency) == (want.n, want.edges, want.adjacency), y
+        assert t == want and hash(t) == hash(want)
+        parent = _caterpillar_parents(y)
+        assert parent[0] == -1
+        assert all(parent[v] < v for v in range(1, t.n))
 
 
 def test_build_round_trip_properties():

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from treextremal.degrees import degree_sequence
-from treextremal.enumeration import enumerate_all_trees
+from treextremal.enumeration import _free_trees, enumerate_all_trees
 from treextremal.errors import InvalidTree, ParseError, VertexOutOfRange
 from treextremal.trees import (
     Tree,
+    _tree_from_parents,
     bfs,
     diameter,
     is_caterpillar,
@@ -70,6 +71,34 @@ def test_tree_validation_messages():
         with pytest.raises(InvalidTree) as info:
             Tree(n, edges)
         assert str(info.value) == message, (n, edges)
+
+
+def test_tree_from_parents_matches_the_validated_tree():
+    checked = 0
+    for n in range(1, 11):
+        for parent, _ in _free_trees(n):
+            t = _tree_from_parents(parent)
+            want = Tree(n, [(parent[v], v) for v in range(1, n)])
+            assert (t.n, t.edges, t.adjacency) == (want.n, want.edges, want.adjacency)
+            assert t == want and hash(t) == hash(want)
+            checked += 1
+    assert checked == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
+    # parent[0] is ignored, whatever it holds
+    assert _tree_from_parents([7, 0, 1]) == path_tree(3)
+
+
+def test_tree_from_parents_rejects_a_parent_not_below_its_child():
+    cases = [
+        ([-1, 0, 2], "vertex 2 has parent 2, not a label in 0..1"),  # itself
+        ([-1, 2, 0], "vertex 1 has parent 2, not a label in 0..0"),  # above
+        ([-1, 0, 1, 3], "vertex 3 has parent 3, not a label in 0..2"),
+        ([-1, 0, -1], "vertex 2 has parent -1, not a label in 0..1"),  # negative
+        ([0, -2], "vertex 1 has parent -2, not a label in 0..0"),
+    ]
+    for parent, message in cases:
+        with pytest.raises(InvalidTree) as info:
+            _tree_from_parents(parent)
+        assert str(info.value) == message, parent
 
 
 def test_tree_adjacency_is_sorted():
