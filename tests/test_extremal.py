@@ -375,6 +375,65 @@ def test_node_cap_refuses_without_a_partial_optimum():
         find_min_subtrees(ds, method="caterpillar", budget=tight)
 
 
+def _frozen_search_vectors():
+    """2,000 seeded pendant vectors (k 1-9, entries 0-5), then range(k) for
+    k = 1..10."""
+    rng = random.Random(20123_23)
+    vectors = [[rng.randint(0, 5) for _ in range(rng.randint(1, 9))] for _ in range(2000)]
+    return vectors + [list(range(k)) for k in range(1, 11)]
+
+
+def _prefixes_entered(pendants, maximize) -> int:
+    """The smallest node cap under which _caterpillar_search answers."""
+
+    def answers(cap):
+        try:
+            _caterpillar_search(pendants, maximize, EnumerationBudget(max_labeled=cap))
+        except BudgetExceeded:
+            return False
+        return True
+
+    refused, hi = 0, 1
+    while not answers(hi):
+        refused, hi = hi, 2 * hi
+    while hi - refused > 1:
+        mid = (refused + hi) // 2
+        refused, hi = (refused, mid) if answers(mid) else (mid, hi)
+    return hi
+
+
+# Per objective: sha256 of json.dumps of [str(optimum), winners in order,
+# examined] per vector of _frozen_search_vectors, then of the node caps of
+# _prefixes_entered for the first 100 vectors (with their sum), frozen from
+# the recursive search.
+FROZEN_SEARCH = {
+    "min": (
+        "3c44036f821688296d2cafee21e607d2f86b2d3f091200c721cae1bc5b6d1a56",
+        "686738f9a49b9a2aa5c5fc8150eb59562b70eb513156bfa39957cb5069740c67",
+        3071,
+    ),
+    "max": (
+        "48ddb251932a273f5e26bab1627703fdf4f09e914ec81e21c5ae2ca8c6ed36c8",
+        "c182439ab669e6fc577fb4395ecf0720c520ea4ef7751c5387a8d53d327e9749",
+        2183,
+    ),
+}
+
+
+@pytest.mark.parametrize("objective", sorted(FROZEN_SEARCH))
+def test_caterpillar_search_is_frozen(objective):
+    maximize = objective == "max"
+    vectors = _frozen_search_vectors()
+    rows = []
+    for pendants in vectors:
+        best, winners, examined = _caterpillar_search(pendants, maximize)
+        rows.append([str(best), [list(w) for w in winners], examined])
+    caps = [_prefixes_entered(pendants, maximize) for pendants in vectors[:100]]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    cap_digest = hashlib.sha256(json.dumps(caps).encode()).hexdigest()
+    assert (digest, cap_digest, sum(caps)) == FROZEN_SEARCH[objective]
+
+
 def test_search_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
