@@ -9,6 +9,8 @@ lexicographically greater of y and its reverse). Throughout the package a
 caterpillar is that canonical tuple; a Tree is built only when one is needed.
 """
 
+from operator import index
+
 from .errors import EmptySpine
 from .trees import Tree, _longest_path, _tree_from_parents, is_caterpillar
 
@@ -21,8 +23,11 @@ def caterpillar_canonical(y) -> tuple[int, ...]:
 
 
 def _pendant_vector(y) -> tuple[int, ...]:
-    """y as a tuple of ints, or EmptySpine unless it is nonempty and >= 0."""
-    y = tuple(map(int, y))
+    """y as a tuple of ints, or EmptySpine unless it is nonempty, integral and >= 0."""
+    try:
+        y = tuple(map(index, y))
+    except TypeError:
+        raise EmptySpine(f"pendant counts must be integers: {y}") from None
     if not y:
         raise EmptySpine("caterpillar needs at least one internal vertex")
     if min(y) < 0:

@@ -19,23 +19,24 @@ over all realizations while the budget allows, otherwise over caterpillars
 only (and the report says so).
 
 The caterpillar search is an exact branch and bound over the arrangements
-of the pendant vector. Its incumbent starts at the count of one real
-arrangement, a zig-zag valley for min and mountain for max, so pruning
-starts at the root; it carries the caterpillar_phi recurrence down each
-prefix and cuts a prefix only when _phi_bound, a bound on every
-completion, is strictly worse than the incumbent, so every tied winner
-survives and exactness rests on no shape theorem. Its cost is capped by
-the prefixes it enters (budget.max_labeled): past the cap it raises
-BudgetExceeded and returns nothing. It builds no Tree: each winner is
-recounted by the general product DP (count_subtrees's) on the winner's
-parent array, and a disagreement raises InternalInconsistency, so the
-shortcut is cross-checked on every search. A Tree is built only for the
-winners a report lists, each from its parent array, and each is reported
-with the pendant vector the search or formula already holds; only
-brute-search winners have theirs read back off the tree
-(caterpillar_from_tree). A report codes every winner that has a pendant
-vector, from that vector alone (canonical._caterpillar_code); only a winner
-that is no caterpillar, or the k = 0 tree, is coded by canonical_form.
+of the pendant vector, one loop off an explicit stack of prefixes whose
+depth is limited only by the node cap. Its incumbent starts at the count of
+one real arrangement, a zig-zag valley for min and mountain for max; it
+carries the caterpillar_phi recurrence down each prefix, scores a prefix
+with at most two values left as a leaf, and cuts any other only when
+_phi_bound, a bound on every completion, is strictly worse than the
+incumbent, so every tied winner survives and exactness rests on no shape
+theorem. Past budget.max_labeled prefixes entered it raises BudgetExceeded
+and returns nothing. It builds no Tree: each winner is recounted by the
+general product DP (count_subtrees's) on its parent array, and a
+disagreement raises InternalInconsistency, so the shortcut is
+cross-checked on every search. A Tree is built only for the winners a
+report lists, each from its parent array, and each is reported with the
+pendant vector the search or formula already holds; only brute-search
+winners have theirs read back off the tree (caterpillar_from_tree). A
+report codes every winner that has a pendant vector, from that vector
+alone (canonical._caterpillar_code); only a winner that is no
+caterpillar, or the k = 0 tree, is coded by canonical_form.
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
@@ -234,63 +235,56 @@ def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDG
     Returns (optimum, winners, examined) exactly as scoring every mirror
     class would: winners are the optimal canonical pendant vectors in
     enumeration order (see enumerate_caterpillars) and examined counts the
-    classes scored at a leaf. A depth-first walk over the multiset
-    permutations in lexicographic order carries S_j and the partial phi sum
-    down each prefix. The incumbent starts at the phi of the zig-zag
-    arrangement (_seed_arrangement, not counted in examined), so prefixes
-    are cut from the root on: a prefix with at least three values left is
-    cut only when its _phi_bound is strictly worse than the incumbent, so
-    the seed's class and every tied winner survive; the last two values
-    are scored inline. The walk counts the prefixes it enters, the root
-    included, and raises BudgetExceeded once that count passes
-    budget.max_labeled, never returning a partial optimum.
+    classes scored at a leaf. One loop pops (prefix, S_j, partial phi sum,
+    sorted values left) off an explicit stack, depth first; a node pushes
+    one child per run of equal values, last first, so children are entered
+    in lexicographic order. The incumbent starts at the zig-zag
+    arrangement's phi (_seed_arrangement, not counted in examined); a prefix
+    with three or more values left is cut only when its _phi_bound is
+    strictly worse, so the seed's class and every tie survive. With at most
+    two left it is a leaf: each order of them (one if the first equals the
+    last) not greater than its mirror is scored. Each popped entry, root
+    included, is one prefix entered; past budget.max_labeled of them it
+    raises BudgetExceeded, never returning a partial optimum.
     """
-    if len(pendants) == 1:
-        return caterpillar_phi(pendants), [tuple(pendants)], 1
     tail = sum(pendants) + 2
     best = caterpillar_phi(_seed_arrangement(pendants, maximize))
     winners = []
-    examined = 0
+    examined = nodes = 0
     cap = budget.max_labeled
-    nodes = 0
-
-    def descend(prefix, s, total, rest):
-        nonlocal best, winners, examined, nodes
+    stack = [((), 1, 0, tuple(sorted(pendants)))]
+    while stack:
+        prefix, s, total, rest = stack.pop()
         nodes += 1
         if nodes > cap:
             raise BudgetExceeded(
                 f"caterpillar search exceeds budget {cap} after entering {nodes} prefixes"
             )
-        if len(rest) == 2:
-            a, b = rest
-            for x, y in ((a, b), (b, a)) if a != b else ((a, b),):
-                perm = prefix + (x, y)
+        if len(rest) <= 2:
+            for order in (rest, rest[::-1]) if rest[0] != rest[-1] else (rest,):
+                perm = prefix + order
                 mirror = perm[::-1]
                 if perm > mirror:  # its class was scored at the mirror
                     continue
                 examined += 1
-                first = (s + 1) << x
-                last = (first + 1) << y
-                value = total + first + last + last + tail
+                last, value = s, total + tail
+                for x in order:
+                    last = (last + 1) << x
+                    value += last
+                value += last
                 if value > best if maximize else value < best:
                     best, winners = value, [mirror]
                 elif value == best:
                     winners.append(mirror)
-            return
+            continue
         bound = _phi_bound(s, total, rest[::-1] if maximize else rest, tail)
         if bound < best if maximize else bound > best:
-            return
-        previous = None
-        for i, v in enumerate(rest):
-            if v != previous:
-                previous = v
+            continue
+        for i in reversed(range(len(rest))):
+            v = rest[i]
+            if i == 0 or v != rest[i - 1]:  # one child per run, at its first index
                 nxt = (s + 1) << v
-                descend(prefix + (v,), nxt, total + nxt, rest[:i] + rest[i + 1 :])
-
-    try:
-        descend((), 1, 0, sorted(pendants))
-    finally:
-        del descend  # the closure refers to itself; leave no garbage cycle
+                stack.append((prefix + (v,), nxt, total + nxt, rest[:i] + rest[i + 1 :]))
     return best, winners, examined
 
 

@@ -38,6 +38,9 @@ def test_build_rejects_bad_vectors():
         caterpillar_build(())
     with pytest.raises(EmptySpine):
         caterpillar_build((1, -1))
+    for bad in [(1.5,), ("2",), ["2", 1.9, True]]:
+        with pytest.raises(EmptySpine, match="^pendant counts must be integers: "):
+            caterpillar_build(bad)
 
 
 def test_canonical_orientation():

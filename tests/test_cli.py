@@ -593,10 +593,13 @@ def test_count_fields_match_oracles(run, tmp_path):
 def test_exit_codes_reach_the_shell():
     """`python -m treextremal` passes main's exit code to the process."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    for argv, code in (
-        (["count", "--caterpillar", "1,0"], 0),
-        (["extremal", "--degseq", "3,3,1"], 2),
-        (["extremal", "--degseq", "3,2,2,1,1,1", "--method", "brute", "--budget-labeled", "1"], 3),
+    for argv, code, field, value in (
+        (["count", "--caterpillar", "1,0"], 0, "phi", "17"),
+        # A 1,500-vertex spine: the caterpillar search does not recurse.
+        (["extremal", "--degseq", "2*1500,1*2"], 0, "optimum", str(1502 * 1503 // 2)),
+        (["extremal", "--degseq", "3,3,1"], 2, None, None),
+        (["extremal", "--degseq", "3,2,2,1,1,1", "--method", "brute", "--budget-labeled", "1"],
+         3, None, None),
     ):
         done = subprocess.run(
             [sys.executable, "-m", "treextremal", *argv], env=env, capture_output=True, text=True
@@ -605,4 +608,5 @@ def test_exit_codes_reach_the_shell():
         if code:
             assert done.stderr.startswith("error: ")
         else:
-            assert json.loads(done.stdout)["results"]["phi"] == "17"
+            assert done.stderr == ""
+            assert json.loads(done.stdout)["results"][field] == value

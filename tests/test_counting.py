@@ -220,7 +220,7 @@ def test_caterpillar_phi_golden_values_and_rejections():
     assert caterpillar_phi((0, 1, 0)) == 25
     assert caterpillar_phi((6, 0, 1, 1, 1)) == 3142
     assert caterpillar_phi((3,)) == count_subtrees(star_tree(6))
-    for bad in [(), (1, -1)]:
+    for bad in [(), (1, -1), (1.5,), ("2",)]:
         with pytest.raises(EmptySpine):
             caterpillar_phi(bad)
 

@@ -434,6 +434,16 @@ def test_caterpillar_search_is_frozen(objective):
     assert (digest, cap_digest, sum(caps)) == FROZEN_SEARCH[objective]
 
 
+def test_search_depth_is_limited_only_by_the_node_cap():
+    # 1,500 spine vertices, past the default recursion limit of 1,000.
+    path = find_min_subtrees(parse_degree_sequence("2*1500,1*2"))
+    assert path.optimum == 1502 * 1503 // 2
+    assert [o.y_vector for o in path.optimizers] == [(0,) * 1500]
+    ladder = find_max_subtrees(parse_degree_sequence("3*1500,1*1502"), method="caterpillar")
+    assert ladder.optimum == caterpillar_phi((1,) * 1500)
+    assert [o.y_vector for o in ladder.optimizers] == [(1,) * 1500]
+
+
 def test_search_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
