@@ -13,7 +13,12 @@ Every JSON document is written by one writer whose bytes are those of
 json.dumps(document, indent=2). `count` reads all its fields off one rooted
 traversal, plus one BFS from its last vertex for the diameter, makes the
 decimal text of each distinct per-vertex count once, and hands the list to
-the writer as _Digits, which it joins without escaping.
+the writer as _Digits, which it joins without escaping. `enumerate` reads
+each row's phi and Wiener index off one rooted traversal too (a class's
+parent array with --caterpillars-only, so no Tree) and writes its JSON list
+or CSV table from one (code, y, phi, wiener) tuple per row. main lifts
+CPython's int-to-decimal digit cap while a command runs, so a count of any
+size is written in full.
 """
 
 import argparse
@@ -25,14 +30,14 @@ import os
 import sys
 from typing import Iterable
 
-from .caterpillars import caterpillar_build, caterpillar_from_tree
+from .caterpillars import _caterpillar_parents, caterpillar_build, caterpillar_from_tree
 from .canonical import _caterpillar_code, canonical_form
-from .counting import _down_counts, _reroot, _wiener, count_subtrees, wiener_index
+from .counting import _down_counts, _reroot, _rooted_counts, _wiener
 from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
 from .errors import BudgetExceeded, InternalInconsistency, ParseError, TooLarge, TreextremalError
 from .extremal import METHODS, find_max_subtrees, find_min_subtrees
-from .trees import _eccentricity, is_caterpillar, tree_from_edge_list
+from .trees import _eccentricity, bfs, is_caterpillar, tree_from_edge_list
 from .verify import CLAIM_IDS, FAIL, run_claim
 
 SCHEMA_VERSION = "1"
@@ -95,13 +100,13 @@ def _json_pieces(value, indent: str = "", out: list[str] | None = None) -> list[
 _CSV_FIELDS = ("canonical_code", "y_vector_or_blank", "phi", "wiener")
 
 
-def _emit(args, document: dict, csv_rows: Iterable[dict] | None = None) -> None:
-    """Write the document as JSON, or csv_rows (_CSV_FIELDS) as CSV when they
-    are given."""
+def _emit(args, document: dict | None, csv_rows: Iterable[tuple] | None = None) -> None:
+    """Write the document as JSON, or csv_rows (tuples in _CSV_FIELDS order)
+    as CSV when they are given."""
     if csv_rows is not None:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(buf)
+        writer.writerow(_CSV_FIELDS)
         writer.writerows(csv_rows)
         pieces = [buf.getvalue()]
     else:
@@ -204,31 +209,25 @@ def cmd_enumerate(args) -> int:
     ds = parse_degree_sequence(args.degseq)
     budget = _budget(args)
     if args.caterpillars_only and ds.k:  # k = 0 has no pendant vector: list its tree
-        pairs = ((caterpillar_build(y), y) for y in enumerate_caterpillars(ds, budget))
+        ys = enumerate_caterpillars(ds, budget)
+        walks = ((None, y, range(ds.n), _caterpillar_parents(y)) for y in ys)
     else:
-        pairs = ((t, caterpillar_from_tree(t)) for t in enumerate_trees(ds, budget))
-    rows = [
-        {
-            "canonical_code": canonical_form(t) if y is None else _caterpillar_code(y),
-            "y_vector": list(y) if y is not None else None,
-            "phi": str(count_subtrees(t)),
-            "wiener": str(wiener_index(t)),
-        }
-        for t, y in pairs
-    ]
-    inputs = {"degseq": args.degseq, "caterpillars_only": args.caterpillars_only}
-    csv_rows = None
-    if args.format == "csv":
-        csv_rows = (
-            {
-                "canonical_code": r["canonical_code"],
-                "y_vector_or_blank": " ".join(str(v) for v in r["y_vector"]) if r["y_vector"] else "",
-                "phi": r["phi"],
-                "wiener": r["wiener"],
-            }
-            for r in rows
+        walks = ((t, caterpillar_from_tree(t), *bfs(t, 0)[:2]) for t in enumerate_trees(ds, budget))
+    rows = [  # (code, y, phi, wiener): phi and wiener off one rooted traversal
+        (
+            canonical_form(t) if y is None else _caterpillar_code(y),
+            y,
+            str(sum(_rooted_counts(order, parent))),
+            str(_wiener(order, parent)),
         )
-    _emit(args, _document("enumerate", inputs, {"count": len(rows), "trees": rows}), csv_rows)
+        for t, y, order, parent in walks
+    ]
+    if args.format == "csv":
+        _emit(args, None, ((c, " ".join(map(str, y)) if y else "", p, w) for c, y, p, w in rows))
+        return EXIT_OK
+    trees = [{"canonical_code": c, "y_vector": y, "phi": p, "wiener": w} for c, y, p, w in rows]
+    inputs = {"degseq": args.degseq, "caterpillars_only": args.caterpillars_only}
+    _emit(args, _document("enumerate", inputs, {"count": len(rows), "trees": trees}))
     return EXIT_OK
 
 
@@ -296,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad input already; normalize anything else.
         return EXIT_INPUT if exc.code not in (0,) else 0
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None: no cap here
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (BudgetExceeded, TooLarge) as exc:
@@ -310,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TreextremalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

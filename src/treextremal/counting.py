@@ -16,12 +16,14 @@ Two independent routes are kept on purpose:
 The product DP (_rooted_counts), the rerooting and the Wiener index are
 each written once, as a private helper over a rooted traversal (order,
 parent), and the traversal has two sources. One is a BFS of a Tree: the
-public functions run one of their own, and `treextremal count` takes one
-_down_counts traversal and reads phi, every per-vertex count and the Wiener
-index off it (the diameter comes from one BFS from its last vertex). The
-other is a caterpillar's parent array (caterpillars._caterpillar_parents),
-which needs no Tree and no BFS: range(n) already lists its parents before
-their children.
+public functions run one of their own, and a caller needing more than one
+number reads them all off one: `treextremal count` (phi, every per-vertex
+count, Wiener), `enumerate` and the wiener-correspondence sweep (phi and
+Wiener). The other is a caterpillar's parent array
+(caterpillars._caterpillar_parents), which needs no Tree and no BFS:
+range(n) already lists its parents before their children. The caterpillar
+search recounts its winners on it and `enumerate --caterpillars-only`
+scores every class on it.
 
 caterpillar_phi counts a caterpillar straight from its pendant vector in
 O(k), with no Tree; the caterpillar search in extremal runs the same

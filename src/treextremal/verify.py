@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .canonical import canonical_form
 from .caterpillars import caterpillar_canonical
-from .counting import count_subtrees, wiener_index
+from .counting import _down_counts, _wiener, count_subtrees
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -252,7 +252,8 @@ def verify_transformation_monotonicity(
 ) -> VerificationReport:
     """On every non-caterpillar tree, every applicable branch shift whose
     gating inequality holds (with a nontrivial branch) must strictly lower
-    the subtree count."""
+    the subtree count: the tree's own, the sum of the rooted counts
+    _branch_shifts yields, against count_subtrees of the shifted Tree."""
     failures = []
     trees_seen = 0
     applicable = 0
@@ -262,12 +263,12 @@ def verify_transformation_monotonicity(
             if is_caterpillar(t):
                 continue
             trees_seen += 1
-            phi = count_subtrees(t)
             for ctx, down in _branch_shifts(t, range(t.n), t.leaves()):
                 weight, tail, branch = _shift_weights(ctx, down)
                 if not (weight > tail and branch > 1):
                     continue
                 applicable += 1
+                phi = sum(down)
                 shifted = _shifted(t, ctx)
                 phi2 = count_subtrees(shifted)
                 if phi2 < phi:
@@ -311,7 +312,10 @@ def explore_wiener_correspondence(
     instances = 0
     for ds, trees in _realizations(max_n, budget):
         instances += 1
-        scored = [(canonical_form(t), count_subtrees(t), wiener_index(t)) for t in trees]
+        scored = []
+        for t in trees:
+            down, order, parent = _down_counts(t, 0)
+            scored.append((canonical_form(t), sum(down), _wiener(order, parent)))
         phi_max, phi_min = _optimal_codes(scored, 1, True), _optimal_codes(scored, 1, False)
         wie_min, wie_max = _optimal_codes(scored, 2, False), _optimal_codes(scored, 2, True)
         max_matches = phi_max == wie_min

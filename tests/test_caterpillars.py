@@ -1,9 +1,13 @@
+import csv
 import functools
+import io
 import itertools
+import json
 import random
 
 import pytest
 
+from treextremal import caterpillars
 from treextremal.caterpillars import (
     _caterpillar_parents,
     caterpillar_build,
@@ -11,6 +15,8 @@ from treextremal.caterpillars import (
     caterpillar_from_tree,
 )
 from treextremal.canonical import _caterpillar_code, canonical_form
+from treextremal.cli import main
+from treextremal.counting import count_subtrees, wiener_index
 from treextremal.enumeration import (
     enumerate_caterpillars,
     enumerate_degree_sequences,
@@ -144,3 +150,70 @@ def test_degree_sequence_of_caterpillar():
     t = caterpillar_build((6, 0, 1, 1, 1))
     assert degree_sequence(map(len, t.adjacency)).degrees == (8, 3, 3, 3, 2) + (1,) * 11
     assert t.n == 16
+
+
+def _enumerate_rows(capsys, degseq, *flags):
+    """The rows of `enumerate`, run in process, as JSON and as CSV: lists
+    of (code, y, phi, wiener), y a tuple or None."""
+    rows = {}
+    for fmt in ("json", "csv"):
+        assert main(["enumerate", "--degseq", degseq, "--format", fmt, *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            rows[fmt] = [
+                (r["canonical_code"], r["y_vector"] and tuple(r["y_vector"]), r["phi"], r["wiener"])
+                for r in json.loads(captured.out)["results"]["trees"]
+            ]
+        else:
+            header, *table = csv.reader(io.StringIO(captured.out))
+            assert header == ["canonical_code", "y_vector_or_blank", "phi", "wiener"]
+            rows[fmt] = [(c, tuple(map(int, y.split())) if y else None, p, w) for c, y, p, w in table]
+    assert rows["json"] == rows["csv"]
+    return rows["json"]
+
+
+def test_caterpillar_rows_match_the_validated_tree(capsys):
+    """Each row of `enumerate --caterpillars-only`, scored off the class's
+    parent array with no Tree, against the Tree that Tree(n, edges)
+    validates, for every class of every sequence with 3 <= n <= 14."""
+    classes = 0
+    for n in range(3, 15):
+        for ds in enumerate_degree_sequences(n, min_k=1):
+            degseq = ",".join(map(str, ds.degrees))
+            rows = _enumerate_rows(capsys, degseq, "--caterpillars-only")
+            assert [y for _, y, _, _ in rows] == list(map(tuple, enumerate_caterpillars(ds)))
+            for code, y, phi, wiener in rows:
+                t = _edge_loop_build(y)
+                assert (code, phi, wiener) == (
+                    canonical_form(t), str(count_subtrees(t)), str(wiener_index(t))
+                ), (degseq, y)
+            classes += len(rows)
+    assert classes == 2142
+
+
+def test_free_tree_rows_match_the_public_counts(capsys):
+    """Each row of plain `enumerate`, scored off one BFS of its tree, against
+    the public functions, for all 201 free trees with n <= 10."""
+    trees = 0
+    for n in range(1, 11):
+        for ds in enumerate_degree_sequences(n):
+            rows = _enumerate_rows(capsys, ",".join(map(str, ds.degrees)))
+            expected = [
+                (canonical_form(t), caterpillar_from_tree(t), str(count_subtrees(t)),
+                 str(wiener_index(t)))
+                for t in enumerate_trees(ds)
+            ]
+            assert rows == expected, ds.degrees
+            trees += len(rows)
+    assert trees == 201  # OEIS A000055, n = 1..10
+
+
+def test_caterpillar_rows_build_no_tree(monkeypatch, capsys):
+    def no_tree(*_):
+        raise AssertionError("a Tree was built")
+
+    monkeypatch.setattr(Tree, "__init__", no_tree)
+    monkeypatch.setattr(caterpillars, "_tree_from_parents", no_tree)
+    rows = _enumerate_rows(capsys, "6,5,4,3,1*12", "--caterpillars-only")
+    assert len(rows) == 12  # 4! arrangements of (4, 3, 2, 1), mirror pairs merged

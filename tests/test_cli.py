@@ -610,3 +610,43 @@ def test_exit_codes_reach_the_shell():
         else:
             assert done.stderr == ""
             assert json.loads(done.stdout)["results"][field] == value
+
+
+@pytest.fixture
+def int_digit_cap():
+    """Set CPython's cap on int-to-decimal conversion (3.10.7+, 3.11+) inside
+    a test; the cap found before is put back after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no cap on int-to-decimal conversion")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_counts_past_the_int_digit_cap_are_written_in_full(run, int_digit_cap):
+    # K_{1,15001}: phi = 2^15001 + 15001 has 4,516 digits, past the default
+    # cap of 4,300, which once made both commands exit 2.
+    int_digit_cap(4300)
+    code, out, err = run("extremal", "--degseq", "15001,1*15001")
+    assert (code, err) == (0, "")
+    optimum = json.loads(out)["results"]["optimum"]
+    code, out, err = run("enumerate", "--degseq", "15001,1*15001", "--caterpillars-only")
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["results"]["trees"]
+    assert sys.get_int_max_str_digits() == 4300
+    int_digit_cap(0)
+    exact = str(2**15001 + 15001)
+    assert len(exact) == 4516
+    assert optimum == row["phi"] == exact
+
+
+def test_main_leaves_the_callers_int_digit_cap(run, int_digit_cap):
+    for cap in (0, 640, 5000):
+        int_digit_cap(cap)
+        for argv, code in (
+            (("count", "--caterpillar", "1,0"), 0),
+            (("extremal", "--degseq", "3,3,1"), 2),  # refused inside the command
+            (("count",), 2),  # refused by the parser
+        ):
+            assert run(*argv)[0] == code
+            assert sys.get_int_max_str_digits() == cap, (cap, argv)

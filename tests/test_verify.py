@@ -290,7 +290,7 @@ FORCED_FAILURES = {
         "50e2b3e2764bbf0c0d8806db93ce1a5e6b2709bc1839e37eea7a8334bee12b98",
     ),
     "wiener-correspondence": (
-        ("wiener_index", lambda t: 0), 6,
+        ("_wiener", lambda order, parent: 0), 6,
         "8d1f03532045715004bf227574e8e84b01c1426d5c06126b85d8497a16e03872",
     ),
 }
