@@ -20,7 +20,7 @@ from .caterpillars import (
     caterpillar_canonical,
     caterpillar_from_tree,
 )
-from .canonical import canonical_form, centers, rooted_code
+from .canonical import canonical_form
 from .counting import (
     brute_force_count,
     count_all_containing,
@@ -87,7 +87,6 @@ __all__ = [
     "caterpillar_build",
     "caterpillar_canonical",
     "caterpillar_from_tree",
-    "centers",
     "closed_form_phi",
     "count_all_containing",
     "count_caterpillar_arrangements",
@@ -107,7 +106,6 @@ __all__ = [
     "path_tree",
     "predict_min_k5",
     "prufer_decode",
-    "rooted_code",
     "run_claim",
     "shift_branch_to_end",
     "star_tree",

@@ -12,40 +12,40 @@ Tree. Its center is the middle spine vertex, or the better of the two middle
 ones, and each of its two arms is coded outward-in: the end leaf is "()",
 and spine vertex v_i wraps the code of the arm beyond it and y_i leaves,
 "(" + inner + "()" * y_i + ")". A non-leaf code starts with "((", so it
-sorts before every "()" and the sort rooted_code makes is known in advance.
+sorts before every "()" and the sort canonical_form makes is known in advance.
 """
 
-from .trees import Tree, _longest_path, bfs
-
-
-def centers(t: Tree) -> list[int]:
-    """The 1 or 2 middle vertices of a longest path, sorted.
-
-    Every longest path runs through the center(s) of a tree, with them at
-    its middle, so one path found by double sweep is enough.
-    """
-    path = _longest_path(t)
-    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
-
-
-def rooted_code(t: Tree, root: int) -> str:
-    """Canonical parenthesis string of t rooted at root."""
-    # Children come after their parent in BFS order, so the reversed order
-    # codes every child before its parent; sorting makes the order moot.
-    order, parent, _ = bfs(t, root)
-    code: list[str] = [""] * t.n
-    kids: list[list[str]] = [[] for _ in range(t.n)]
-    for v in reversed(order):
-        code[v] = "(" + "".join(sorted(kids[v])) + ")"
-        p = parent[v]
-        if p >= 0:
-            kids[p].append(code[v])
-    return code[root]
+from .trees import Tree
 
 
 def canonical_form(t: Tree) -> str:
-    """Relabeling-invariant code: minimum of the rooted codes at the centers."""
-    return min(rooted_code(t, c) for c in centers(t))
+    """Relabeling-invariant code: minimum of the rooted codes at the centers,
+    written in one pass that strips leaves layer by layer down to them. A
+    vertex is coded when it is stripped, from the neighbours stripped before
+    it: its children when the tree is rooted at a center."""
+
+    def wrap(codes):
+        return "(" + "".join(sorted(codes)) + ")"
+
+    adjacency = t.adjacency
+    degree = [len(a) for a in adjacency]  # 0 once stripped
+    kids: list[list[str]] = [[] for _ in adjacency]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    remaining = len(adjacency)
+    while remaining > 2:  # so no two vertices of one layer are adjacent
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            for w in adjacency[v]:
+                if degree[w]:  # the one neighbour left: v's parent
+                    kids[w].append(wrap(kids[v]))
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    # Rooted at one center, the other one, if any, is one more child.
+    return min(wrap(kids[c] + [wrap(kids[o]) for o in layer if o != c]) for c in layer)
 
 
 def _caterpillar_code(y) -> str:

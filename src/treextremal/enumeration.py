@@ -28,6 +28,7 @@ theorem sweeps built on top.
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator
 
 from .degrees import DegreeSequence, _built
@@ -53,6 +54,10 @@ class EnumerationBudget:
     max_labeled: int = 10_000_000
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "max_labeled", index(self.max_labeled))
+        except TypeError:
+            raise ValueError(f"max_labeled must be an integer, got {self.max_labeled!r}") from None
         if self.max_labeled < 1:
             raise ValueError("budget caps must be positive")
 

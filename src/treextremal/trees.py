@@ -7,13 +7,13 @@ immutable and safe to share between threads. The package's own generators
 build their trees from parent arrays (_tree_from_parents), where checking
 that each parent is a label below its child is the whole proof of a tree.
 
-There is one graph walk, _walk: bfs runs it on a Tree, and Tree checks
+There is one breadth-first walk, _walk: bfs runs it on a Tree, and Tree checks
 connectivity with it on the adjacency lists it has just built. There is one
 longest-path algorithm, the double sweep (_longest_path): the last vertex a
 BFS visits ends a longest path, and a BFS from there reaches the other end
-last. The diameter, the centers and a caterpillar's spine are read off it;
-`treextremal count` runs only the second sweep (_eccentricity), from the
-last vertex of the traversal its counts come from.
+last. The diameter and a caterpillar's spine are read off it; `treextremal
+count` runs only the second sweep (_eccentricity), from the last vertex of
+the traversal its counts come from.
 The edge-list parser converts every edge in one pass and re-reads the
 lines one by one only to name the first bad one.
 """

@@ -29,7 +29,7 @@ Claim identifiers (the CLI contract):
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .canonical import canonical_form
 from .caterpillars import caterpillar_canonical
@@ -374,18 +374,22 @@ CLAIM_IDS = tuple(_CLAIMS)
 def run_claim(claim: str, max_n: int | None = None, max_k: int | None = None,
               budget: EnumerationBudget = DEFAULT_BUDGET) -> VerificationReport:
     """Dispatch a claim id. A cap left as None takes the claim's default; any
-    given cap, 0 included, bounds the universe as given. A negative cap, or
-    a cap on k for a claim whose universe k does not bound, is an input
-    error."""
+    given cap, 0 included, bounds the universe as given. A negative or
+    non-integer cap, or a cap on k for a claim whose universe k does not
+    bound, is an input error."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    if max_k is not None and claim not in _TAKES_MAX_K:
-        raise ValueError(f"{claim} takes no max_k; only {', '.join(_TAKES_MAX_K)} do")
-    for name, cap in (("max_n", max_n), ("max_k", max_k)):
-        if cap is not None and cap < 0:
-            raise ValueError(f"{name} must be >= 0, got {cap}")
     check, default_n = _CLAIMS[claim]
-    n = default_n if max_n is None else max_n
+    caps = {"max_n": default_n if max_n is None else max_n}
     if claim in _TAKES_MAX_K:
-        return check(n, _DEFAULT_MAX_K if max_k is None else max_k, budget)
-    return check(n, budget)
+        caps["max_k"] = _DEFAULT_MAX_K if max_k is None else max_k
+    elif max_k is not None:
+        raise ValueError(f"{claim} takes no max_k; only {', '.join(_TAKES_MAX_K)} do")
+    for name, cap in caps.items():
+        try:
+            caps[name] = index(cap)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {cap!r}") from None
+        if caps[name] < 0:
+            raise ValueError(f"{name} must be >= 0, got {cap}")
+    return check(*caps.values(), budget)

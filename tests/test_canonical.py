@@ -7,7 +7,7 @@ vertex bijections, sharing nothing with the center/AHU construction.
 import random
 from itertools import combinations
 
-from treextremal.canonical import canonical_form, centers, rooted_code
+from treextremal.canonical import canonical_form
 from treextremal.caterpillars import caterpillar_build
 from treextremal.enumeration import (
     enumerate_all_trees,
@@ -15,7 +15,8 @@ from treextremal.enumeration import (
     enumerate_trees,
 )
 from treextremal.prufer import prufer_decode
-from treextremal.trees import Tree, path_tree, star_tree
+from treextremal import trees as trees_module
+from treextremal.trees import Tree, _longest_path, bfs, path_tree, star_tree
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -101,43 +102,50 @@ def test_codes_agree_with_brute_force_up_to_n8():
         assert brute_force_isomorphic(t, copy)
 
 
-def leaf_stripping_centers(t: Tree) -> list[int]:
-    """Centers by iterative leaf stripping, independent of any path."""
-    if t.n <= 2:
-        return list(range(t.n))
-    degree = [len(a) for a in t.adjacency]
-    layer = [v for v in range(t.n) if degree[v] == 1]
-    remaining = t.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in t.adjacency[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-            degree[v] = 0
-        layer = nxt
-    return sorted(layer)
+def reference_code(t: Tree) -> str:
+    """The minimum AHU code over the centers, by the route canonical_form
+    replaced: the centers are the middle one or two vertices of a longest
+    path, and each is coded by a BFS rooted there."""
+    path = _longest_path(t)
+    best = None
+    for root in path[(len(path) - 1) // 2 : len(path) // 2 + 1]:
+        order, parent, _ = bfs(t, root)
+        kids: list[list[str]] = [[] for _ in range(t.n)]
+        for v in reversed(order):  # children come after their parent
+            code = "(" + "".join(sorted(kids[v])) + ")"
+            if parent[v] >= 0:
+                kids[parent[v]].append(code)
+        best = code if best is None else min(best, code)
+    return best
 
 
-def test_centers():
-    assert centers(path_tree(5)) == [2]
-    assert centers(path_tree(6)) == [2, 3]
-    assert centers(star_tree(7)) == [0]
-    assert centers(Tree(1, [])) == [0]
-    assert centers(Tree(2, [(0, 1)])) == [0, 1]
-    trees = [t for n in range(1, 13) for _, ts in enumerate_all_trees(n) for t in ts]
-    assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235 + 551
+def test_code_shapes():
+    assert canonical_form(Tree(1, [])) == "()"
+    assert canonical_form(Tree(2, [(0, 1)])) == "(())"
+    assert canonical_form(path_tree(3)) == "(()())"
+    assert canonical_form(path_tree(5)) == "((())(()))"
+    assert canonical_form(path_tree(6)) == "(((()))(()))"
+    assert canonical_form(star_tree(7)) == "(" + "()" * 6 + ")"
+
+
+def test_one_pass_matches_the_center_rooted_reference():
+    trees = [t for n in range(1, 14) for _, ts in enumerate_all_trees(n) for t in ts]
+    assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235 + 551 + 1301
     rng = random.Random(60)
-    for _ in range(200):
-        n = rng.randint(3, 60)
+    for _ in range(3000):
+        n = rng.randint(3, 80)
         trees.append(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n))
     for t in trees:
-        assert centers(t) == leaf_stripping_centers(t), t
+        assert canonical_form(t) == reference_code(t), t
 
 
-def test_rooted_code_shape():
-    assert rooted_code(Tree(1, []), 0) == "()"
-    assert rooted_code(path_tree(3), 1) == "(()())"
-    assert rooted_code(path_tree(3), 0) == "((()))"
+def test_codes_without_a_breadth_first_walk(monkeypatch):
+    # The centers come out of the leaf stripping, not out of a BFS.
+    trees = [path_tree(7), star_tree(6), Tree(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)])]
+    expected = [reference_code(t) for t in trees]
+
+    def no_walk(*args):
+        raise AssertionError("canonical_form ran a BFS")
+
+    monkeypatch.setattr(trees_module, "_walk", no_walk)
+    assert [canonical_form(t) for t in trees] == expected

@@ -612,6 +612,27 @@ def test_exit_codes_reach_the_shell():
             assert json.loads(done.stdout)["results"][field] == value
 
 
+def test_default_output_does_not_depend_on_the_hash_seed():
+    """Default output is byte-identical across runs, whatever the seed of
+    str hashing: set and dict order never reach it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (
+        ["verify", "wiener-correspondence"],
+        ["enumerate", "--degseq", "4,4,3,3,3,2,2,1*9"],  # 508 trees, coded by canonical_form
+        ["extremal", "--degseq", "3,3,3,3,1*6", "--objective", "max"],  # no caterpillar wins
+        ["count", "--caterpillar", "3,0,2"],
+    ):
+        outputs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "treextremal", *argv],
+                env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True,
+            )
+            assert done.returncode == 0, (argv, done.stderr)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1], argv
+
+
 @pytest.fixture
 def int_digit_cap():
     """Set CPython's cap on int-to-decimal conversion (3.10.7+, 3.11+) inside

@@ -159,6 +159,16 @@ def test_budget_refusal():
     assert len(list(enumerate_trees(parse_degree_sequence("2*14,1,1")))) == 1
 
 
+def test_budget_cap_must_be_a_positive_integer():
+    for cap in (2.5, "5", None):
+        with pytest.raises(ValueError, match="^max_labeled must be an integer, got "):
+            EnumerationBudget(cap)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="^budget caps must be positive$"):
+            EnumerationBudget(cap)
+    assert EnumerationBudget(5).max_labeled == 5
+
+
 def test_all_trees_match_per_sequence_enumeration():
     for n in range(1, 13):
         passes = list(enumerate_all_trees(n))

@@ -247,6 +247,17 @@ def test_run_claim_rejects_negative_caps():
             run_claim(claim, **kwargs)
 
 
+def test_run_claim_rejects_non_integer_caps():
+    for args, name in (
+        (("thm-3.5", 8, 2.5), "max_k"),
+        (("thm-3.5", 10, 4.5), "max_k"),
+        (("thm-4.1", 10.0), "max_n"),
+        (("thm-2.1", "5"), "max_n"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            run_claim(*args)
+
+
 def _shape_breakers(max_n, min_k, max_k, maximize, budget):
     """Stand-in for the caterpillar sweep. (2, 1, 0) is no valley and ends
     on the floor although d_2 > d_k, yet it is a mountain; both
