@@ -10,26 +10,30 @@ which lists every unlabeled tree on n vertices exactly once as a level
 sequence: the depths of the vertices in preorder from a root at a central
 vertex, with the root's subtrees in nonincreasing order. A realization of a degree
 sequence is a generated tree whose sorted degrees match, so no
-deduplication is needed and only matching trees are ever built. A query
-for one sequence filters one pass over the free trees on n; a sweep over
-every sequence of order n takes one pass for all of them
-(enumerate_all_trees), grouping the trees by their sorted degrees.
+deduplication is needed and only matching trees are ever built. The
+sequences come in decreasing lexicographic order, so those that share a
+prefix are consecutive: a query for one sequence walks the free trees on
+n but skips, as one block, every prefix whose closed vertex degrees
+already rule the sequence out, and visits only a small share of them. A
+sweep over every sequence of order n takes one unpruned pass for all of
+them (enumerate_all_trees), grouping the trees by their sorted degrees.
 Caterpillars are the multiset permutations of the pendant vector, each
 mirror class kept at the permutation that is no greater than its reverse,
 so no seen-set is needed either; they are yielded as pendant vectors, not
-trees. The generation cost, the number of free trees on n vertices or of
-caterpillar arrangements, is checked against a budget before any work
-starts; the caterpillar search in extremal, which scores far fewer
-arrangements than it could, is capped instead by the prefixes it enters
-and stopped when it passes the same cap. Refusing is an error, never a
-truncation, because a partial enumeration would silently break the
-theorem sweeps built on top.
+trees. The generation cost, the number of free trees on n vertices (an
+upper bound on the walk for one sequence) or of caterpillar arrangements,
+is checked against a budget before any work starts; the caterpillar
+search in extremal, which scores far fewer arrangements than it could, is
+capped instead by the prefixes it enters and stopped when it passes the
+same cap. Refusing is an error, never a truncation, because a partial
+enumeration would silently break the theorem sweeps built on top.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from operator import index
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .degrees import DegreeSequence, _built
 from .errors import BudgetExceeded, NoInternalVertices
@@ -71,10 +75,19 @@ def count_free_trees(n: int) -> int:
     Otter's formula: t(n) = r(n) - (sum over i + j = n of r(i) r(j)
     - r(n/2) for even n) / 2, where r counts rooted trees (OEIS A000081)
     through (m - 1) r(m) = sum_{j < m} s(j) r(m - j) with
-    s(j) = sum_{d | j} d r(d).
+    s(j) = sum_{d | j} d r(d). Each count is computed once, on first use.
     """
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return _otter(n)
+
+
+@cache
+def _otter(n: int) -> int:
     r = [0, 1]
     s = [0]
     for m in range(2, n + 1):
@@ -119,7 +132,7 @@ def _successor(levels: list[int], p: int) -> None:
         levels[i] = levels[i - shift]
 
 
-def free_level_sequences(n: int) -> Iterator[list[int]]:
+def free_level_sequences(n: int) -> Generator[list[int], int | None, None]:
     """Level sequences of all unlabeled trees on n >= 2 vertices, once each.
 
     Rooted level sequences are visited in decreasing lexicographic order,
@@ -127,43 +140,56 @@ def free_level_sequences(n: int) -> Iterator[list[int]]:
     representative when the first subtree of the root (the tallest) is no
     taller than the rest of the tree, and, at equal heights, no larger, and
     at equal sizes no later in lexicographic order. An invalid successor is
-    repaired by one jump straight to the next representative. The validity
+    repaired by a jump straight to the next representative. The validity
     test here rescans the sequence, so a step costs O(n) rather than the
     paper's amortized constant; n is bounded by the enumeration cap. The
     yielded list is reused: copy it to keep it past the next step.
+
+    The sequences that share a prefix come one after another, so a caller
+    can skip them as one block: send(j), for 0 <= j < n, in place of next()
+    skips every sequence that starts with the last one's levels[:j + 1].
     """
     if n < 2:
         raise ValueError(f"free-tree generation needs n >= 2, got {n}")
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
-        yield levels
+        skip = yield levels
+        if skip is not None:
+            # The prefix followed by leaves of the root is the smallest
+            # sequence with that prefix, so the last of its block.
+            levels[skip + 1 :] = [1] * (n - skip - 1)
         p = n - 1
         while levels[p] == 1:
             p -= 1
         if p == 0:
             return
         _successor(levels, p)
-        # The root's first subtree occupies 1..m-1; the rest starts at m.
-        m = levels.index(1, 2) if 1 in levels[2:] else n
-        left_height = max(levels[1:m]) - 1
-        rest_height = max(levels[m:], default=0)
-        if rest_height > left_height:
-            continue
-        if rest_height == left_height:
-            left_size, rest_size = m - 1, n - m + 1
-            if left_size < rest_size:
-                continue
-            if left_size == rest_size and [v - 1 for v in levels[1:m]] <= [0] + levels[m:]:
-                continue
-        # Jump: advance the first subtree itself. When its last vertex sits
-        # below level 2, the copies do too, so the first subtree now runs to
-        # the end, and the next representative ends in a path from the root
-        # one level taller than that subtree.
-        deep = levels[m - 1] > 2
-        _successor(levels, m - 1)
-        if deep:
-            height = max(levels[1:]) - 1
-            levels[n - height - 1 :] = range(1, height + 2)
+        while True:
+            # The root's first subtree occupies 1..m-1; the rest starts at m.
+            m = levels.index(1, 2) if 1 in levels[2:] else n
+            left_height = max(levels[1:m]) - 1
+            rest_height = max(levels[m:], default=0)
+            if rest_height > left_height:
+                break
+            if rest_height == left_height:
+                left_size, rest_size = m - 1, n - m + 1
+                if left_size < rest_size:
+                    break
+                if left_size == rest_size and [v - 1 for v in levels[1:m]] <= [0] + levels[m:]:
+                    break
+            # Jump: advance the first subtree itself. When its last vertex
+            # sits below level 2, the copies do too, so the first subtree now
+            # runs to the end, and the next representative ends in a path
+            # from the root one level taller than that subtree.
+            deep = levels[m - 1] > 2
+            _successor(levels, m - 1)
+            if deep:
+                height = max(levels[1:]) - 1
+                levels[n - height - 1 :] = range(1, height + 2)
+            # A jump from a representative's successor lands on the next
+            # representative; after a skip it may not, so test again.
+            if skip is None:
+                break
 
 
 def _check_full_budget(n: int, budget: EnumerationBudget, generating: bool = True) -> None:
@@ -202,6 +228,49 @@ def _free_trees(n: int) -> Iterator[tuple[list[int], list[int]]]:
         yield parent, degree
 
 
+def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -> int | None:
+    """Scan a level sequence against a degree multiset, target[d] being
+    the number of vertices of degree d: an index j such that no sequence
+    still to come that starts with levels[:j + 1] realizes the multiset,
+    or None when this one does, with parent then filled in as in
+    _free_trees.
+
+    Vertex i closes the vertices of the current root path at levels[i] or
+    deeper: their degrees are final and must fit in what is left of the
+    multiset. The sequences still to come that share levels[:i] put vertex
+    i no deeper, so they close the same vertices and fail too. A vertex
+    still open fails once its degree passes the largest in the multiset.
+    The end closes the rest of the path, and n closed degrees that all fit
+    are the whole multiset.
+    """
+    n = len(levels)
+    top = len(target) - 1
+    left = target.copy()
+    degree = [0] + [1] * (n - 1)  # each vertex but the root has its parent
+    last = [0] * n  # last[h] is the latest vertex at level h
+    previous = 0
+    for i in range(1, n):
+        depth = levels[i]
+        for h in range(depth, previous + 1):
+            d = degree[last[h]]
+            if not left[d]:
+                return i - 1
+            left[d] -= 1
+        last[depth] = i
+        p = last[depth - 1]
+        parent[i] = p
+        degree[p] += 1
+        if degree[p] > top:
+            return i
+        previous = depth
+    for h in range(previous + 1):
+        d = degree[last[h]]
+        if not left[d]:
+            return n - 1
+        left[d] -= 1
+    return None
+
+
 def enumerate_trees(
     ds: DegreeSequence, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Iterator[Tree]:
@@ -211,15 +280,31 @@ def enumerate_trees(
     with vertices labeled in level-sequence preorder from the root, so
     repeated runs are byte-identical. A star is its sequence's only tree and
     is built without generating the rest.
+
+    The walk visits only the blocks of level sequences that could still
+    realize ds: each visited sequence is scanned once, and the first prefix
+    that rules ds out is sent back to the generator, which skips every
+    sequence starting with it. A skip drops only sequences that fail the
+    same scan, so the trees are those of a filter over every free tree.
     """
     _check_full_budget(ds.n, budget, generating=ds.k != 1)
-    if ds.k == 1:
+    if ds.k == 1 or ds.n == 1:
         yield star_tree(ds.n)
         return
-    target = list(ds.degrees)
-    for parent, degree in _free_trees(ds.n):
-        if sorted(degree, reverse=True) == target:
+    target = [0] * (ds.degrees[0] + 1)
+    for d in ds.degrees:
+        target[d] += 1
+    parent = [0] * ds.n
+    walk = free_level_sequences(ds.n)
+    levels = next(walk)
+    while True:
+        failed = _ruled_out_prefix(levels, target, parent)
+        if failed is None:
             yield _tree_from_parents(parent)
+        try:
+            levels = walk.send(failed)
+        except StopIteration:
+            return
 
 
 def enumerate_all_trees(

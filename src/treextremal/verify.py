@@ -20,7 +20,7 @@ Claim identifiers (the CLI contract):
                       minimum pendant count at the valley bottom
   thm-3.6-shape       maximizing caterpillars are mountain-shaped
   thm-4.1             the k in {2,3,4} closed forms and their unique
-                      minimizers match exhaustive search
+                      minimizers match the caterpillar search
   thm-4.2             the k = 5 trichotomy predicts the exact minimizer set
   eq-2.1-monotonic    the branch shift strictly decreases the count whenever
                       its inequality holds (shifted Trees are recounted)
@@ -201,8 +201,9 @@ def verify_mountain_shape(
 def verify_closed_forms(
     max_n: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """For k in {2, 3, 4} the closed form must equal the exhaustive
-    caterpillar minimum and the minimizer must be the stated tree, uniquely."""
+    """For k in {2, 3, 4} the closed form must equal the caterpillar
+    minimum, as the branch and bound over pendant arrangements finds it,
+    and the minimizer must be the stated tree, uniquely."""
     failures = []
     instances = 0
     for ds, best, winners in _caterpillar_optima(max_n, 2, 4, False, budget):
@@ -221,7 +222,8 @@ def verify_closed_forms(
 def verify_trichotomy(
     max_n: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """For k = 5 the predicted minimizer set must equal exhaustive search.
+    """For k = 5 the predicted minimizer set must equal the minimizers the
+    caterpillar branch and bound finds.
 
     Also scans for sequences with d4 != d5 where lhs = rhs, the boundary
     between tags I and III. None exist (lhs is a power of two, rhs has an

@@ -20,7 +20,7 @@ from treextremal.enumeration import (
 from treextremal.errors import BudgetExceeded, NoInternalVertices
 from treextremal.extremal import find_max_subtrees, find_min_subtrees
 from treextremal.prufer import prufer_decode
-from treextremal.trees import is_caterpillar
+from treextremal.trees import _tree_from_parents, is_caterpillar
 
 # Unlabeled trees of order 1..16 (OEIS A000055).
 UNLABELED_COUNTS = [
@@ -154,9 +154,60 @@ def test_budget_refusal():
         BudgetExceeded, match="^predicted 6 free trees on 6 vertices exceeds budget 5$"
     ):
         list(enumerate_trees(DegreeSequence((2, 2, 2, 2, 1, 1)), tiny))
-    # The 16-vertex path has 14! labeled words but only 19320 free trees
-    # are generated for it, well inside the default budget.
+    # The 16-vertex path has 14! labeled words; the budget predicts the
+    # 19320 free trees on 16 vertices, well inside the default cap, though
+    # the walk skips most of them.
     assert len(list(enumerate_trees(parse_degree_sequence("2*14,1,1")))) == 1
+
+
+def _filtered_trees(ds):
+    """Reference: every free tree on ds.n whose sorted degrees are ds's."""
+    return [
+        _tree_from_parents(parent).edges
+        for parent, degree in enumeration._free_trees(ds.n)
+        if sorted(degree, reverse=True) == list(ds.degrees)
+    ]
+
+
+def test_pruned_walk_matches_the_filter_over_all_free_trees():
+    for n in range(1, 14):
+        for ds in enumerate_degree_sequences(n):
+            assert [t.edges for t in enumerate_trees(ds)] == _filtered_trees(ds), ds
+
+
+def _rest_after_send(walk, j):
+    try:
+        first = list(walk.send(j))
+    except StopIteration:
+        return []
+    return [first] + [list(levels) for levels in walk]
+
+
+def test_sent_prefix_skips_exactly_its_block():
+    for n in range(2, 11):
+        plain = [list(levels) for levels in free_level_sequences(n)]
+        for t, current in enumerate(plain):
+            for j in range(n):
+                walk = free_level_sequences(n)
+                for _ in range(t + 1):
+                    next(walk)
+                kept = [s for s in plain[t + 1 :] if s[: j + 1] != current[: j + 1]]
+                assert _rest_after_send(walk, j) == kept, (n, t, j)
+
+
+def test_one_sequence_walks_only_its_blocks(monkeypatch):
+    steps = 0
+    step = enumeration._successor
+
+    def counted(levels, p):
+        nonlocal steps
+        steps += 1
+        step(levels, p)
+
+    monkeypatch.setattr(enumeration, "_successor", counted)
+    assert len(list(enumerate_trees(parse_degree_sequence("3*7,1*9")))) == 6
+    # The unpruned walk takes 20541 steps for the 19320 free trees on 16.
+    assert steps < count_free_trees(16) // 20
 
 
 def test_budget_cap_must_be_a_positive_integer():
@@ -203,8 +254,19 @@ def test_caterpillar_budget_refusal():
 def test_free_tree_counts():
     # UNLABELED_COUNTS covers n <= 16; Otter's formula has no table limit.
     assert count_free_trees(20) == 823065
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         count_free_trees(0)
+    for n in (2.5, "4"):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            count_free_trees(n)
+
+
+def test_free_tree_count_is_computed_once_per_order():
+    count_free_trees(16)
+    computed = enumeration._otter.cache_info().misses
+    for ds in enumerate_degree_sequences(16, 7, 7):
+        next(enumerate_trees(ds))
+    assert enumeration._otter.cache_info().misses == computed
 
 
 def test_generators_refuse_orders_below_their_range():
