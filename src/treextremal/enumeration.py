@@ -52,7 +52,8 @@ class EnumerationBudget:
     the pendant-vector arrangements for a caterpillar enumeration, both
     checked before generation begins, and the prefixes a caterpillar search
     enters. A full enumeration is also refused past n = 16, whatever the
-    budget.
+    budget; a star, its sequence's only tree, is built at any order and
+    under any budget.
     """
 
     max_labeled: int = 10_000_000
@@ -103,9 +104,6 @@ def lexicographic_multiset_permutations(word: list[int]) -> Iterator[tuple[int, 
     """All distinct permutations of word in lexicographic order."""
     current = sorted(word)
     m = len(current)
-    if m == 0:
-        yield ()
-        return
     while True:
         yield tuple(current)
         # Classic next-permutation step.
@@ -133,14 +131,16 @@ def _successor(levels: list[int], p: int) -> None:
 
 
 def free_level_sequences(n: int) -> Generator[list[int], int | None, None]:
-    """Level sequences of all unlabeled trees on n >= 2 vertices, once each.
+    """Level sequences of all unlabeled trees on n >= 1 vertices, once each.
 
     Rooted level sequences are visited in decreasing lexicographic order,
     starting from the path rooted at its center. One is a free tree's
     representative when the first subtree of the root (the tallest) is no
     taller than the rest of the tree, and, at equal heights, no larger, and
     at equal sizes no later in lexicographic order. An invalid successor is
-    repaired by a jump straight to the next representative. The validity
+    repaired by jumps toward the next representative, each jump tested
+    again: from a representative's successor one jump lands on it, from
+    the end of a skipped block it may take more. The validity
     test here rescans the sequence, so a step costs O(n) rather than the
     paper's amortized constant; n is bounded by the enumeration cap. The
     yielded list is reused: copy it to keep it past the next step.
@@ -149,8 +149,8 @@ def free_level_sequences(n: int) -> Generator[list[int], int | None, None]:
     can skip them as one block: send(j), for 0 <= j < n, in place of next()
     skips every sequence that starts with the last one's levels[:j + 1].
     """
-    if n < 2:
-        raise ValueError(f"free-tree generation needs n >= 2, got {n}")
+    if n < 1:
+        raise ValueError(f"free-tree generation needs n >= 1, got {n}")
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
         skip = yield levels
@@ -186,19 +186,13 @@ def free_level_sequences(n: int) -> Generator[list[int], int | None, None]:
             if deep:
                 height = max(levels[1:]) - 1
                 levels[n - height - 1 :] = range(1, height + 2)
-            # A jump from a representative's successor lands on the next
-            # representative; after a skip it may not, so test again.
-            if skip is None:
-                break
 
 
-def _check_full_budget(n: int, budget: EnumerationBudget, generating: bool = True) -> None:
-    """Refuse a full enumeration on n vertices: always by the order cap,
-    and by the predicted free-tree count when the trees are generated."""
+def _check_full_budget(n: int, budget: EnumerationBudget) -> None:
+    """Refuse a full enumeration on n vertices, by the order cap or by the
+    predicted free-tree count."""
     if n > _MAX_FULL_N:
         raise BudgetExceeded(f"n={n} exceeds full-enumeration cap {_MAX_FULL_N}")
-    if not generating:
-        return
     predicted = count_free_trees(n)
     if predicted > budget.max_labeled:
         raise BudgetExceeded(
@@ -211,9 +205,6 @@ def _free_trees(n: int) -> Iterator[tuple[list[int], list[int]]]:
     """(parent, degree) of every free tree on n >= 1 vertices, in generation
     order, with vertices in level-sequence preorder and parent[0] = 0. The
     parent list is reused: copy it to keep it past the next step."""
-    if n == 1:
-        yield [0], [0]
-        return
     # The parent of vertex i is the last earlier vertex one level up.
     last = [0] * n
     parent = [0] * n
@@ -278,8 +269,9 @@ def enumerate_trees(
 
     Output order is the generator's order over free trees on ds.n vertices,
     with vertices labeled in level-sequence preorder from the root, so
-    repeated runs are byte-identical. A star is its sequence's only tree and
-    is built without generating the rest.
+    repeated runs are byte-identical. A star is its sequence's only tree:
+    it is yielded before any budget check, at any order, and nothing is
+    generated.
 
     The walk visits only the blocks of level sequences that could still
     realize ds: each visited sequence is scanned once, and the first prefix
@@ -287,10 +279,10 @@ def enumerate_trees(
     sequence starting with it. A skip drops only sequences that fail the
     same scan, so the trees are those of a filter over every free tree.
     """
-    _check_full_budget(ds.n, budget, generating=ds.k != 1)
-    if ds.k == 1 or ds.n == 1:
+    if ds.k == 1:
         yield star_tree(ds.n)
         return
+    _check_full_budget(ds.n, budget)
     target = [0] * (ds.degrees[0] + 1)
     for d in ds.degrees:
         target[d] += 1

@@ -332,15 +332,16 @@ def _caterpillar_winners(ys) -> list[tuple[Tree, tuple[int, ...]]]:
 def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[tuple[int, ...]]]:
     """Optimum and canonical minimizer pendant vectors for 1 <= k <= 5."""
     k = ds.k
-    if k == 1:
-        return 2 ** (ds.n - 1) + ds.n - 1, [(ds.degrees[0] - 2,)]
     if k in (2, 3, 4):
         value, stated = closed_form_phi(ds)
         return value, [caterpillar_canonical(stated)]
-    if k == 5:
+    if k == 1:
+        y = (ds.degrees[0] - 2,)  # the star
+    elif k == 5:
         (y,) = predict_min_k5(ds)[1]  # one vector (see TrichotomyCase)
-        return caterpillar_phi(y), [y]
-    raise ClosedFormUnavailable(f"no closed form for k={k} > 5")
+    else:
+        raise ClosedFormUnavailable(f"no closed form for k={k} > 5")
+    return caterpillar_phi(y), [y]
 
 
 def _search(ds, objective, method, budget) -> ExtremalReport:
@@ -357,17 +358,18 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
     if method == "closed-form":
         value, ys = _closed_form_minimizers(ds)
         return _report(ds, objective, value, _caterpillar_winners(ys), method, len(ys))
-    refused = None  # the full search's refusal, when auto max falls back
     if method == "auto":
         if maximize:
             # enumerate_trees refuses before yielding anything, so a refusal
             # leaves nothing half-scored.
             try:
                 return _search(ds, objective, "brute", budget)
-            except BudgetExceeded as exc:
-                refused = exc
-                method = "caterpillar"
-        elif ds.k <= 5:
+            except BudgetExceeded as refused:
+                try:
+                    return _search(ds, objective, "caterpillar", budget)
+                except BudgetExceeded as exc:
+                    raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}") from None
+        if ds.k <= 5:
             value, ys = _closed_form_minimizers(ds)
             best, winners, examined = _caterpillar_extremes(ds, budget, False)
             if best != value or set(winners) != set(ys):
@@ -376,18 +378,12 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
                     f"formula {value}, search {best}"
                 )
             return _report(ds, objective, value, _caterpillar_winners(ys), "closed-form", examined)
-        else:
-            method = "caterpillar"
+        method = "caterpillar"
     if method == "brute":
         best, trees, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
         winners = [(t, caterpillar_from_tree(t)) for t in trees]
     else:
-        try:
-            best, ys, examined = _caterpillar_extremes(ds, budget, maximize)
-        except BudgetExceeded as exc:
-            if refused is None:
-                raise
-            raise BudgetExceeded(f"{refused}; caterpillar fallback: {exc}") from None
+        best, ys, examined = _caterpillar_extremes(ds, budget, maximize)
         winners = _caterpillar_winners(ys)
     return _report(ds, objective, best, winners, method, examined)
 

@@ -161,6 +161,12 @@ def test_enumerate_single_row(run):
     assert json.loads(out)["results"]["count"] == 1
 
 
+def test_enumerate_lists_a_star_past_the_order_cap(run):
+    code, out, _ = run("enumerate", "--degseq", "17,1*17")
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 1
+
+
 def test_enumerate_csv(run):
     code, out, _ = run("enumerate", "--degseq", "3,2,2,1,1,1", "--format", "csv")
     assert code == 0

@@ -20,7 +20,7 @@ from treextremal.enumeration import (
 from treextremal.errors import BudgetExceeded, NoInternalVertices
 from treextremal.extremal import find_max_subtrees, find_min_subtrees
 from treextremal.prufer import prufer_decode
-from treextremal.trees import _tree_from_parents, is_caterpillar
+from treextremal.trees import _tree_from_parents, is_caterpillar, star_tree
 
 # Unlabeled trees of order 1..16 (OEIS A000055).
 UNLABELED_COUNTS = [
@@ -87,9 +87,8 @@ def test_generated_sequences_equal_validated_ones():
 def test_unlabeled_totals_match_known_counts():
     for n in range(1, 17):
         assert count_free_trees(n) == UNLABELED_COUNTS[n - 1]
-        if n >= 2:
-            generated = sum(1 for _ in free_level_sequences(n))
-            assert generated == UNLABELED_COUNTS[n - 1]
+        generated = sum(1 for _ in free_level_sequences(n))
+        assert generated == UNLABELED_COUNTS[n - 1]
         # Every tree has one degree sequence, so the realizations of all
         # sequences partition the free trees (checked where that is quick).
         if n <= 12:
@@ -228,6 +227,21 @@ def test_all_trees_match_per_sequence_enumeration():
             assert [t.edges for t in trees] == [t.edges for t in enumerate_trees(ds)]
 
 
+def test_one_vertex_is_one_level_sequence():
+    assert list(free_level_sequences(1)) == [[0]]
+    assert list(enumerate_trees(DegreeSequence((0,)))) == [star_tree(1)]
+
+
+def test_star_is_listed_past_the_order_cap(monkeypatch):
+    def no_generation(n):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "free_level_sequences", no_generation)
+    star = parse_degree_sequence("17,1*17")
+    assert list(enumerate_trees(star)) == [star_tree(18)]
+    assert list(enumerate_trees(star, EnumerationBudget(max_labeled=1))) == [star_tree(18)]
+
+
 def test_all_trees_refuse_before_generating(monkeypatch):
     def no_generation(n):
         raise AssertionError("generation started")
@@ -270,8 +284,8 @@ def test_free_tree_count_is_computed_once_per_order():
 
 
 def test_generators_refuse_orders_below_their_range():
-    with pytest.raises(ValueError, match="^free-tree generation needs n >= 2, got 1$"):
-        next(free_level_sequences(1))
+    with pytest.raises(ValueError, match="^free-tree generation needs n >= 1, got 0$"):
+        next(free_level_sequences(0))
     with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         list(enumerate_degree_sequences(0))
 

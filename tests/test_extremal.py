@@ -52,7 +52,7 @@ from treextremal.extremal import (
     predict_min_k5,
     shift_branch_to_end,
 )
-from treextremal.trees import Tree, is_caterpillar, path_tree
+from treextremal.trees import Tree, is_caterpillar, path_tree, star_tree
 from treextremal.verify import _orientations, _valley_ok
 
 SPIDER = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -252,10 +252,13 @@ def test_auto_max_falls_back_only_when_enumeration_refuses():
     star = find_max_subtrees(parse_degree_sequence("7,1*7"), budget=EnumerationBudget(max_labeled=1))
     assert star.method == "brute"
     assert star.optimum == 2**7 + 7
+    # Past the order cap too.
+    star = find_max_subtrees(parse_degree_sequence("17,1*17"))
+    assert (star.method, star.optimum, star.trees_examined) == ("brute", 131_089, 1)
     ds = DegreeSequence((3, 2, 2, 1, 1, 1))
     assert find_max_subtrees(ds, budget=EnumerationBudget(max_labeled=5)).method == "caterpillar"
     assert find_max_subtrees(ds, budget=EnumerationBudget(max_labeled=6)).method == "brute"
-    # n = 17 is past the full-enumeration order cap under any budget.
+    # Any other sequence with n = 17 is past the order cap, whatever the budget.
     assert find_max_subtrees(parse_degree_sequence("3,2*13,1*3")).method == "caterpillar"
 
 
@@ -481,6 +484,18 @@ def test_degenerate_sequences():
     assert two.optimum == 3
     star = find_min_subtrees(DegreeSequence((4, 1, 1, 1, 1)))
     assert star.optimum == 20 and {o.y_vector for o in star.optimizers} == {(2,)}
+    for n in range(3, 41):
+        ds = DegreeSequence((n - 1,) + (1,) * (n - 1))
+        value, code = 2 ** (n - 1) + n - 1, canonical_form(star_tree(n))
+        assert count_subtrees(star_tree(n)) == value
+        reports = [
+            find_min_subtrees(ds, method)
+            for method in ("closed-form", "caterpillar", "auto", "brute")
+        ]
+        reports += [find_max_subtrees(ds, method) for method in ("caterpillar", "auto")]
+        for report in reports:
+            assert report.optimum == value, (n, report.objective, report.method)
+            assert [o.canonical_code for o in report.optimizers] == [code]
 
 
 def test_optimizers_are_sorted_and_consistent():
