@@ -13,10 +13,14 @@ sequence is a generated tree whose sorted degrees match, so no
 deduplication is needed and only matching trees are ever built. The
 sequences come in decreasing lexicographic order, so those that share a
 prefix are consecutive: a query for one sequence walks the free trees on
-n but skips, as one block, every prefix whose closed vertex degrees
-already rule the sequence out, and visits only a small share of them. A
-sweep over every sequence of order n takes one unpruned pass for all of
-them (enumerate_all_trees), grouping the trees by their sorted degrees.
+n but skips, as one block, every prefix whose vertex degrees already rule
+the sequence out, and visits only a small share of them. A sweep over
+every sequence of order n takes one unpruned pass for all of them
+(enumerate_all_trees), grouping the trees by their sorted degrees. Both
+produce parent tuples, vertices in level-sequence preorder, which lists
+every parent before its children: the public generators build a Tree from
+each, and the brute search and the all-tree claims score the tuples as
+they are (_realization_parents, _all_parents).
 Caterpillars are the multiset permutations of the pendant vector, each
 mirror class kept at the permutation that is no greater than its reverse,
 so no seen-set is needed either; they are yielded as pendant vectors, not
@@ -37,7 +41,7 @@ from typing import Generator, Iterator
 
 from .degrees import DegreeSequence, _built
 from .errors import BudgetExceeded, NoInternalVertices
-from .trees import Tree, _tree_from_parents, star_tree
+from .trees import Tree, _tree_from_parents
 
 
 # The largest order a full enumeration accepts, whatever the budget.
@@ -229,14 +233,19 @@ def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -
     Vertex i closes the vertices of the current root path at levels[i] or
     deeper: their degrees are final and must fit in what is left of the
     multiset. The sequences still to come that share levels[:i] put vertex
-    i no deeper, so they close the same vertices and fail too. A vertex
-    still open fails once its degree passes the largest in the multiset.
-    The end closes the rest of the path, and n closed degrees that all fit
-    are the whole multiset.
+    i no deeper, so they close the same vertices and fail too. Degrees only
+    grow, so a prefix fails too once, for some d, more of its vertices have
+    degree d or more than the multiset has: room[d] counts the entries >= d
+    not yet reached by a vertex of the prefix, and a vertex that closes
+    lowers both sides of each count it is in. The end closes the rest of
+    the path, and n closed degrees that all fit are the whole multiset.
     """
     n = len(levels)
     top = len(target) - 1
     left = target.copy()
+    room = [0] * (top + 2)  # room[top + 1] stays 0
+    for d in range(top, -1, -1):
+        room[d] = room[d + 1] + target[d]
     degree = [0] + [1] * (n - 1)  # each vertex but the root has its parent
     last = [0] * n  # last[h] is the latest vertex at level h
     previous = 0
@@ -250,9 +259,11 @@ def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -
         last[depth] = i
         p = last[depth - 1]
         parent[i] = p
-        degree[p] += 1
-        if degree[p] > top:
+        d = degree[p] + 1
+        if not room[d]:
             return i
+        room[d] -= 1
+        degree[p] = d
         previous = depth
     for h in range(previous + 1):
         d = degree[last[h]]
@@ -260,6 +271,31 @@ def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -
             return n - 1
         left[d] -= 1
     return None
+
+
+def _realization_parents(
+    ds: DegreeSequence, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> Iterator[tuple[int, ...]]:
+    """The parent tuples of enumerate_trees(ds), in its order: a star's
+    before any budget check, every other sequence's from the pruned walk."""
+    if ds.k == 1:
+        yield (0,) * ds.n
+        return
+    _check_full_budget(ds.n, budget)
+    target = [0] * (ds.degrees[0] + 1)
+    for d in ds.degrees:
+        target[d] += 1
+    parent = [0] * ds.n
+    walk = free_level_sequences(ds.n)
+    levels = next(walk)
+    while True:
+        failed = _ruled_out_prefix(levels, target, parent)
+        if failed is None:
+            yield tuple(parent)
+        try:
+            levels = walk.send(failed)
+        except StopIteration:
+            return
 
 
 def enumerate_trees(
@@ -278,25 +314,10 @@ def enumerate_trees(
     that rules ds out is sent back to the generator, which skips every
     sequence starting with it. A skip drops only sequences that fail the
     same scan, so the trees are those of a filter over every free tree.
+    Each tree is built from the parent tuple the walk yields
+    (_realization_parents).
     """
-    if ds.k == 1:
-        yield star_tree(ds.n)
-        return
-    _check_full_budget(ds.n, budget)
-    target = [0] * (ds.degrees[0] + 1)
-    for d in ds.degrees:
-        target[d] += 1
-    parent = [0] * ds.n
-    walk = free_level_sequences(ds.n)
-    levels = next(walk)
-    while True:
-        failed = _ruled_out_prefix(levels, target, parent)
-        if failed is None:
-            yield _tree_from_parents(parent)
-        try:
-            levels = walk.send(failed)
-        except StopIteration:
-            return
+    return map(_tree_from_parents, _realization_parents(ds, budget))
 
 
 def enumerate_all_trees(
@@ -307,21 +328,23 @@ def enumerate_all_trees(
     trees on n.
 
     The budget is checked when this is called, before any generation, so
-    a sweep can refuse every order up front. The pass keeps each tree as
-    its parent tuple, grouped by sorted degrees, and builds the Trees of
-    one sequence at a time.
+    a sweep can refuse every order up front. The pass (_all_parents) keeps
+    each tree as its parent tuple, grouped by sorted degrees, and the Trees
+    are built one sequence at a time.
     """
     _check_full_budget(n, budget)
-    return _all_trees(n)
+    return ((ds, list(map(_tree_from_parents, parents))) for ds, parents in _all_parents(n))
 
 
-def _all_trees(n: int) -> Iterator[tuple[DegreeSequence, list[Tree]]]:
+def _all_parents(n: int) -> Iterator[tuple[DegreeSequence, list[tuple[int, ...]]]]:
+    """(ds, parent tuples of enumerate_trees(ds)) for every degree sequence
+    of order n, from one unpruned pass; the caller checks the budget."""
     by_degrees: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for parent, degree in _free_trees(n):
         key = tuple(sorted(degree, reverse=True))
         by_degrees.setdefault(key, []).append(tuple(parent))
     for ds in enumerate_degree_sequences(n):
-        yield ds, [_tree_from_parents(parent) for parent in by_degrees.pop(ds.degrees)]
+        yield ds, by_degrees.pop(ds.degrees)
 
 
 def enumerate_caterpillars(

@@ -30,13 +30,16 @@ theorem. Past budget.max_labeled prefixes entered it raises BudgetExceeded
 and returns nothing. It builds no Tree: each winner is recounted by the
 general product DP (count_subtrees's) on its parent array, and a
 disagreement raises InternalInconsistency, so the shortcut is
-cross-checked on every search. A Tree is built only for the winners a
-report lists, each from its parent array, and each is reported with the
-pendant vector the search or formula already holds; only brute-search
-winners have theirs read back off the tree (caterpillar_from_tree). A
-report codes every winner that has a pendant vector, from that vector
-alone (canonical._caterpillar_code); only a winner that is no
-caterpillar, or the k = 0 tree, is coded by canonical_form.
+cross-checked on every search. The brute search scores each realization
+with the same product DP on the parent tuple the pruned walk yields
+(enumeration._realization_parents), in label order too. A Tree is built
+only for the winners a report lists, each from its parent array, and each
+is reported with the pendant vector the search or formula already holds;
+only brute-search winners have theirs read back off the tree
+(caterpillar_from_tree). A report codes every winner that has a pendant
+vector, from that vector alone (canonical._caterpillar_code); only a
+winner that is no caterpillar, or the k = 0 tree, is coded by
+canonical_form.
 
 The module also implements the improving transformation behind the first
 of these facts: shifting a branch off a non-caterpillar to a longest-path
@@ -66,9 +69,10 @@ from .errors import (
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
+    _realization_parents,
     enumerate_trees,
 )
-from .trees import Tree, _path_to_root, bfs, diameter, is_caterpillar
+from .trees import Tree, _path_to_root, _tree_from_parents, bfs, diameter, is_caterpillar
 
 MIN_SUBTREES = "min-subtrees"
 MAX_SUBTREES = "max-subtrees"
@@ -300,13 +304,19 @@ def _caterpillar_extremes(ds: DegreeSequence, budget, maximize: bool):
         [d - 2 for d in ds.internal], maximize, budget
     )
     for y in winners:
-        parent = _caterpillar_parents(y)
-        recount = sum(_rooted_counts(range(len(parent)), parent))
+        recount = _parent_phi(_caterpillar_parents(y))
         if recount != best:
             raise InternalInconsistency(
                 f"caterpillar search gives {best} for C{y}, count_subtrees {recount}"
             )
     return best, winners, examined
+
+
+def _parent_phi(parent) -> int:
+    """count_subtrees of the tree with this parent array, every parent a
+    label below its child: range(n) then lists parents before children, so
+    it is a traversal as it stands, with no Tree and no BFS."""
+    return sum(_rooted_counts(range(len(parent)), parent))
 
 
 def _report(ds, objective, optimum, winners, method, examined) -> ExtremalReport:
@@ -360,7 +370,7 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
         return _report(ds, objective, value, _caterpillar_winners(ys), method, len(ys))
     if method == "auto":
         if maximize:
-            # enumerate_trees refuses before yielding anything, so a refusal
+            # The brute walk refuses before yielding anything, so a refusal
             # leaves nothing half-scored.
             try:
                 return _search(ds, objective, "brute", budget)
@@ -380,8 +390,8 @@ def _search(ds, objective, method, budget) -> ExtremalReport:
             return _report(ds, objective, value, _caterpillar_winners(ys), "closed-form", examined)
         method = "caterpillar"
     if method == "brute":
-        best, trees, examined = extremes(enumerate_trees(ds, budget), count_subtrees, maximize)
-        winners = [(t, caterpillar_from_tree(t)) for t in trees]
+        best, parents, examined = extremes(_realization_parents(ds, budget), _parent_phi, maximize)
+        winners = [(t, caterpillar_from_tree(t)) for t in map(_tree_from_parents, parents)]
     else:
         best, ys, examined = _caterpillar_extremes(ds, budget, maximize)
         winners = _caterpillar_winners(ys)
@@ -396,7 +406,8 @@ def find_min_subtrees(
     """Minimum subtree count over all realizations of ds, with every
     minimizer up to isomorphism.
 
-    Methods: "brute" enumerates all trees; "caterpillar" searches only
+    Methods: "brute" scores every realization on its parent array and
+    builds Trees only for the winners; "caterpillar" searches only
     caterpillars (complete for minimization) by branch and bound over the
     pendant-vector arrangements, seeded with the count of the zig-zag
     valley, cutting a prefix only when a lower bound on its completions
@@ -420,7 +431,7 @@ def find_max_subtrees(
     """Maximum subtree count; mirror of find_min_subtrees.
 
     No closed forms exist for maximization, so "auto" runs the full brute
-    search and, when enumerate_trees refuses it under the budget, falls back
+    search and, when its walk refuses it under the budget, falls back
     to the caterpillar-only search, recording that restriction in
     ``method``; if that is refused too, the error names both refusals. The
     caterpillar search is seeded with the count of the zig-zag mountain,

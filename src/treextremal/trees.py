@@ -183,19 +183,22 @@ def _path_to_root(parent: list[int], u: int) -> list[int]:
 
 
 def is_caterpillar(t: Tree) -> bool:
-    """True iff deleting every leaf leaves a path (or at most one vertex).
+    """True iff deleting every leaf leaves a path (or at most one vertex)."""
+    return _is_caterpillar([len(a) for a in t.adjacency], t.edges)
+
+
+def _is_caterpillar(degree, edges) -> bool:
+    """is_caterpillar of the tree with these vertex degrees and edge pairs.
 
     The non-leaf vertices of a tree always induce a subtree, so it suffices
     to check that each of them has at most two non-leaf neighbors.
     """
-    adjacency = t.adjacency
-    internal = [len(a) >= 2 for a in adjacency]
-    for is_internal, a in zip(internal, adjacency):
-        if is_internal:
-            internal_neighbors = 0
-            for w in a:
-                internal_neighbors += internal[w]
-            if internal_neighbors > 2:
+    internal_neighbors = [0] * len(degree)
+    for u, v in edges:
+        if degree[u] > 1 and degree[v] > 1:
+            internal_neighbors[u] += 1
+            internal_neighbors[v] += 1
+            if internal_neighbors[u] > 2 or internal_neighbors[v] > 2:
                 return False
     return True
 

@@ -11,7 +11,12 @@ sequences in their k window, and the claims over all trees (thm-2.1,
 eq-2.1-monotonic, wiener-correspondence) take each order's free trees from
 one generation pass. Those three check the budget for every order up to
 max_n before generating anything, so an over-budget sweep is refused at
-once.
+once. They score and test each tree on its parent tuple, whose labels list
+every parent before its children (subtree count, Wiener index and the
+caterpillar test need no Tree and no BFS), and build a Tree only for what
+they check further or report: thm-2.1's non-caterpillar minimizers,
+eq-2.1-monotonic's non-caterpillars and the optimizers of a sequence where
+wiener-correspondence finds the optima disagree.
 
 Claim identifiers (the CLI contract):
 
@@ -33,23 +38,25 @@ from operator import index, itemgetter
 
 from .canonical import canonical_form
 from .caterpillars import caterpillar_canonical
-from .counting import _down_counts, _wiener, count_subtrees
+from .counting import _wiener, count_subtrees
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    enumerate_all_trees,
+    _all_parents,
+    _check_full_budget,
     enumerate_degree_sequences,
 )
 from .extremal import (
     _branch_shifts,
     _caterpillar_extremes,
+    _parent_phi,
     _shift_weights,
     _shifted,
     closed_form_phi,
     extremes,
     predict_min_k5,
 )
-from .trees import is_caterpillar
+from .trees import _is_caterpillar, _tree_from_parents
 
 PASS = "pass"
 FAIL = "fail"
@@ -112,10 +119,29 @@ def _caterpillar_optima(
 
 
 def _realizations(max_n: int, budget: EnumerationBudget):
-    """(ds, trees) for every sequence with 2 <= n <= max_n, one generation
-    pass per n. Every order is checked against the budget here, before any
-    tree is generated."""
-    return chain.from_iterable([enumerate_all_trees(n, budget) for n in range(2, max_n + 1)])
+    """(ds, parent tuples of enumerate_trees(ds)) for every sequence with
+    2 <= n <= max_n, one generation pass per n. Every order is checked
+    against the budget here, before any tree is generated."""
+    orders = range(2, max_n + 1)
+    for n in orders:
+        _check_full_budget(n, budget)
+    return chain.from_iterable(map(_all_parents, orders))
+
+
+def _parents_are_caterpillar(parent) -> bool:
+    """is_caterpillar of the tree with this parent array (parent[0] is
+    ignored)."""
+    n = len(parent)
+    degree = [1] * n
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    return _is_caterpillar(degree, zip(parent[1:], range(1, n)))
+
+
+def _codes(parents) -> list[str]:
+    """The sorted canonical codes of the trees with these parent arrays."""
+    return sorted(canonical_form(_tree_from_parents(p)) for p in parents)
 
 
 def verify_caterpillar_minimality(
@@ -124,14 +150,13 @@ def verify_caterpillar_minimality(
     """Every minimizer over all realizations must be a caterpillar."""
     failures = []
     instances = 0
-    for ds, trees in _realizations(max_n, budget):
+    for ds, parents in _realizations(max_n, budget):
         instances += 1
-        _, winners, _ = extremes(trees, count_subtrees)
-        bad = [t for t in winners if not is_caterpillar(t)]
+        _, winners, _ = extremes(parents, _parent_phi)
+        bad = [p for p in winners if not _parents_are_caterpillar(p)]
         if bad:
-            codes = sorted(canonical_form(t) for t in bad)
             observed = f"{len(bad)} non-caterpillar minimizer(s)"
-            failures.append(_record(ds, codes, "all minimizers are caterpillars", observed))
+            failures.append(_record(ds, _codes(bad), "all minimizers are caterpillars", observed))
     return _finish("thm-2.1", {"max_n": max_n}, instances, failures)
 
 
@@ -260,11 +285,12 @@ def verify_transformation_monotonicity(
     trees_seen = 0
     applicable = 0
     decreased = 0
-    for ds, trees in _realizations(max_n, budget):
-        for t in trees:
-            if is_caterpillar(t):
+    for ds, parents in _realizations(max_n, budget):
+        for parent in parents:
+            if _parents_are_caterpillar(parent):
                 continue
             trees_seen += 1
+            t = _tree_from_parents(parent)
             for ctx, down in _branch_shifts(t, range(t.n), t.leaves()):
                 weight, tail, branch = _shift_weights(ctx, down)
                 if not (weight > tail and branch > 1):
@@ -295,8 +321,8 @@ def verify_transformation_monotonicity(
     )
 
 
-def _optimal_codes(scored, column, maximize):
-    """Codes of the (code, phi, wiener) rows that optimize one column."""
+def _optimal(scored, column, maximize):
+    """Indices of the (index, phi, wiener) rows that optimize one column."""
     return {row[0] for row in extremes(scored, itemgetter(column), maximize)[1]}
 
 
@@ -307,19 +333,20 @@ def explore_wiener_correspondence(
     subtree minimizers maximize it) within each degree sequence?
 
     Records agreement rates and all disagreeing sequences; never fails.
+    The optimal sets are compared as indices: the trees of one sequence
+    are pairwise non-isomorphic, so equal index sets are equal code sets,
+    and only a disagreeing sequence's optimizers are coded.
     """
     rows = []
     agree_max = agree_min = 0
     disagreements = []
     instances = 0
-    for ds, trees in _realizations(max_n, budget):
+    for ds, parents in _realizations(max_n, budget):
         instances += 1
-        scored = []
-        for t in trees:
-            down, order, parent = _down_counts(t, 0)
-            scored.append((canonical_form(t), sum(down), _wiener(order, parent)))
-        phi_max, phi_min = _optimal_codes(scored, 1, True), _optimal_codes(scored, 1, False)
-        wie_min, wie_max = _optimal_codes(scored, 2, False), _optimal_codes(scored, 2, True)
+        order = range(ds.n)
+        scored = [(i, _parent_phi(p), _wiener(order, p)) for i, p in enumerate(parents)]
+        phi_max, phi_min = _optimal(scored, 1, True), _optimal(scored, 1, False)
+        wie_min, wie_max = _optimal(scored, 2, False), _optimal(scored, 2, True)
         max_matches = phi_max == wie_min
         min_matches = phi_min == wie_max
         agree_max += max_matches
@@ -328,16 +355,16 @@ def explore_wiener_correspondence(
             disagreements.append(
                 {
                     "degree_sequence": list(ds.degrees),
-                    "subtree_maximizers": sorted(phi_max),
-                    "wiener_minimizers": sorted(wie_min),
-                    "subtree_minimizers": sorted(phi_min),
-                    "wiener_maximizers": sorted(wie_max),
+                    "subtree_maximizers": _codes(parents[i] for i in phi_max),
+                    "wiener_minimizers": _codes(parents[i] for i in wie_min),
+                    "subtree_minimizers": _codes(parents[i] for i in phi_min),
+                    "wiener_maximizers": _codes(parents[i] for i in wie_max),
                 }
             )
         rows.append(
             {
                 "degree_sequence": list(ds.degrees),
-                "realizations": len(scored),
+                "realizations": len(parents),
                 "max_side_agrees": max_matches,
                 "min_side_agrees": min_matches,
             }

@@ -207,6 +207,12 @@ def test_one_sequence_walks_only_its_blocks(monkeypatch):
     assert len(list(enumerate_trees(parse_degree_sequence("3*7,1*9")))) == 6
     # The unpruned walk takes 20541 steps for the 19320 free trees on 16.
     assert steps < count_free_trees(16) // 20
+    # Mostly degree 2: a prefix fails once more of its vertices reach a
+    # degree than the sequence has room for (1,058 steps when it failed only
+    # past the largest degree).
+    steps = 0
+    assert len(list(enumerate_trees(parse_degree_sequence("3,2*12,1*3")))) == 19
+    assert steps <= 507
 
 
 def test_budget_cap_must_be_a_positive_integer():

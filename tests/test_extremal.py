@@ -216,6 +216,22 @@ def test_find_min_methods_agree_everywhere_small():
             assert codes == [o.canonical_code for o in auto.optimizers]
 
 
+def test_brute_reports_equal_scoring_every_tree():
+    # The brute search scores parent arrays and builds Trees only for its
+    # winners; scoring every Tree of enumerate_trees must give the same
+    # optimum, the same winners (in report order) and the same count.
+    for n in range(1, 12):
+        for ds in enumerate_degree_sequences(n):
+            for search, maximize in ((find_min_subtrees, False), (find_max_subtrees, True)):
+                report = search(ds, "brute")
+                best, winners, examined = extremes(enumerate_trees(ds), count_subtrees, maximize)
+                assert report.optimum == best, ds
+                assert [o.tree.edges for o in report.optimizers] == [
+                    t.edges for t in sorted(winners, key=canonical_form)
+                ], ds
+                assert report.trees_examined == examined, ds
+
+
 def test_find_max_reference():
     report = find_max_subtrees(DegreeSequence((3, 2, 2, 1, 1, 1)))
     assert report.optimum == 25

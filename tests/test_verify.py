@@ -5,9 +5,10 @@ import pytest
 
 from treextremal import enumeration, extremal, verify
 from treextremal.degrees import parse_degree_sequence
-from treextremal.enumeration import EnumerationBudget
+from treextremal.enumeration import EnumerationBudget, _free_trees
 from treextremal.errors import BudgetExceeded, InternalInconsistency
 from treextremal.extremal import TrichotomyCase, closed_form_phi
+from treextremal.trees import _tree_from_parents, is_caterpillar
 from treextremal.verify import (
     CLAIM_IDS,
     VerificationReport,
@@ -19,6 +20,7 @@ from treextremal.verify import (
     verify_trichotomy,
     verify_transformation_monotonicity,
     verify_valley_shape,
+    _parents_are_caterpillar,
     _valley_ok,
 )
 
@@ -29,6 +31,25 @@ def test_caterpillar_minimality_small():
     assert report.failures == []
     # one instance per degree sequence with 2 <= n <= 6
     assert report.instances_checked == 1 + 1 + 2 + 3 + 5
+
+
+def _inner_is_path(t):
+    """Oracle: no non-leaf has more than two non-leaf neighbours, so the
+    non-leaves, which always induce a subtree, induce a path."""
+    inner = {v for v in range(t.n) if len(t.adjacency[v]) > 1}
+    return all(sum(w in inner for w in t.adjacency[v]) <= 2 for v in inner)
+
+
+def test_caterpillar_test_on_parent_arrays_matches_the_tree_test():
+    # The all-tree claims test parent tuples; every free tree on n <= 12.
+    checked = 0
+    for n in range(1, 13):
+        for parent, _ in _free_trees(n):
+            t = _tree_from_parents(parent)
+            assert _parents_are_caterpillar(tuple(parent)) == is_caterpillar(t), parent
+            assert is_caterpillar(t) == _inner_is_path(t), parent
+            checked += 1
+    assert checked == sum([1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551])
 
 
 def test_valley_shape_small():
@@ -181,7 +202,9 @@ def test_caterpillar_sweep_recounts_winners(monkeypatch):
 # each claim at each cap of the benchmark's sweep ladders, past the claim's
 # default cap too, and at the default itself. eq-2.1-monotonic@12 (427
 # non-caterpillar trees, 1,801 applicable shifts) reaches past the 15 trees
-# its ladder sees.
+# its ladder sees. wiener-correspondence@13 is the first cap where the
+# subtree and Wiener optima disagree (on one sequence), so the only golden
+# whose disagreeing optimizers are coded.
 GOLDEN_PAYLOADS = {
     "thm-2.1@4": "f059c15aac836f62baa976d42d244ad7ab92a06d68873761d7a986b38f075dc3",
     "thm-2.1@5": "2dc7b3e10a0f9ec6a5a7442633b82cda86fd4c2278dce6213efb3afda0bc1055",
@@ -202,6 +225,7 @@ GOLDEN_PAYLOADS = {
     "wiener-correspondence@7": "a00dd67f6ac5d6eed30989e9ec0272424026494940a0e070c4026117737d3283",
     "wiener-correspondence@8": "90ba9c767060d23bb1c7f7f2f6b3390987412b0c898e6b3587418656a24d6614",
     "wiener-correspondence@9": "5230e9e094706ada611583a7774d3a361915104a1933c38bf79b1201b58a079a",
+    "wiener-correspondence@13": "6c5965e878d09a410542b58e382a04a9746ea146496cf854cbfbf9d1fca2e4b8",
     "thm-3.5@6": "17146715f1fcda61f68c145733df808357a907b2e839f45be307dca331ca3f19",
     "thm-3.5@8": "34e14d8b7d3ffbe292dbc2acca70c01e0e0305108ad97ee783ef7ef708537c5c",
     "thm-3.5@10": "ad2cd175e77c291cc5134cfa4bd326c5958fdd33d3e3170ede5b0e3a7d2bc3eb",
@@ -277,7 +301,7 @@ def _closed_form_off_by_one(ds):
 # implementation that checked mountains with a predicate of their own.
 FORCED_FAILURES = {
     "thm-2.1": (
-        ("is_caterpillar", lambda t: False), 6,
+        ("_is_caterpillar", lambda degree, edges: False), 6,
         "58843a73212b0794382c283faec424486fe5ecc0ace6970a7a77a1cfbdb77684",
     ),
     "thm-3.5": (
