@@ -395,8 +395,8 @@ def enumerate_degree_sequences(
     A tree sequence is its k internal degrees d_1 >= ... >= d_k >= 2 padded
     with 1s, and the d_i - 1 form a partition of n - 2 into k parts. So the
     partitions of n - 2 into min_k to max_k parts are walked largest part
-    first, each part bounded so that the window can still be met; the
-    recursion depth is at most k and only yielded sequences are built. They
+    first, depth first off an explicit stack, each part bounded so that the
+    window can still be met; only yielded sequences are built. They
     are sorted and valid by construction, so they skip DegreeSequence's
     re-sort and re-validation.
     """
@@ -411,21 +411,19 @@ def enumerate_degree_sequences(
     max_k = n - 2 if max_k is None else min(max_k, n - 2)
     if min_k > max_k:
         return
-    internal: list[int] = []
-
-    def parts(remaining: int, cap: int):
+    # (internal degrees so far, what is left of n - 2, the largest part allowed)
+    stack = [((), n - 2, n - 2)]
+    while stack:
+        internal, remaining, cap = stack.pop()
         if remaining == 0 or cap == 1:
             # Parts of 1 are all that is left: one degree 2 per unit.
-            degrees = tuple(internal) + (2,) * remaining
+            degrees = internal + (2,) * remaining
             yield _built(degrees + (1,) * (n - len(degrees)), len(degrees))
-            return
+            continue
         # The part p leaves remaining - p to at most max_k - len - 1 parts
         # no larger than p, and to at least min_k - len - 1 parts.
-        lo = -(-remaining // (max_k - len(internal)))
-        hi = min(cap, remaining - max(0, min_k - len(internal) - 1))
-        for p in range(hi, lo - 1, -1):
-            internal.append(p + 1)
-            yield from parts(remaining - p, p)
-            internal.pop()
-
-    yield from parts(n - 2, n - 2)
+        k = len(internal)
+        lo = -(-remaining // (max_k - k))
+        hi = min(cap, remaining - max(0, min_k - k - 1))
+        for p in range(lo, hi + 1):  # smallest first, so the largest is walked first
+            stack.append((internal + (p + 1,), remaining - p, p))

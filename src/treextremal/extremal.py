@@ -26,10 +26,13 @@ carries the caterpillar_phi recurrence down each prefix, scores a prefix
 with at most two values left as a leaf, and cuts any other only when
 _phi_bound, a bound on every completion, is strictly worse than the
 incumbent, so every tied winner survives and exactness rests on no shape
-theorem. Past budget.max_labeled prefixes entered it raises BudgetExceeded
-and returns nothing. It builds no Tree: each winner is recounted by the
-general product DP (count_subtrees's) on its parent array, and a
-disagreement raises InternalInconsistency, so the shortcut is
+theorem. It builds no prefix it would throw away: a child led by a value
+above all those it leaves yields only mirrors and is never pushed, and a
+child's bound is computed once, as it is built, where a strictly worse one
+drops it. Past budget.max_labeled prefixes entered (popped) it raises
+BudgetExceeded and returns nothing. It builds no Tree: each winner is
+recounted by the general product DP (count_subtrees's) on its parent
+array, and a disagreement raises InternalInconsistency, so the shortcut is
 cross-checked on every search. The brute search scores each realization
 with the same product DP on the parent tuple the pruned walk yields
 (enumeration._realization_parents), in label order too. A Tree is built
@@ -240,25 +243,33 @@ def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDG
     class would: winners are the optimal canonical pendant vectors in
     enumeration order (see enumerate_caterpillars) and examined counts the
     classes scored at a leaf. One loop pops (prefix, S_j, partial phi sum,
-    sorted values left) off an explicit stack, depth first; a node pushes
-    one child per run of equal values, last first, so children are entered
-    in lexicographic order. The incumbent starts at the zig-zag
-    arrangement's phi (_seed_arrangement, not counted in examined); a prefix
-    with three or more values left is cut only when its _phi_bound is
-    strictly worse, so the seed's class and every tie survive. With at most
-    two left it is a leaf: each order of them (one if the first equals the
-    last) not greater than its mirror is scored. Each popped entry, root
-    included, is one prefix entered; past budget.max_labeled of them it
-    raises BudgetExceeded, never returning a partial optimum.
+    sorted values left, bound) off an explicit stack, depth first; a node
+    pushes one child per run of equal values, last first, so children are
+    entered in lexicographic order. The incumbent starts at the zig-zag
+    arrangement's phi (_seed_arrangement, not counted in examined). A child
+    whose first value exceeds every value it leaves (the last, as they are
+    sorted) is never pushed: each arrangement below it is greater than its
+    mirror. A child with three or more values left gets its _phi_bound once,
+    when it is built, and is dropped there if the bound is strictly worse
+    than the incumbent, else tested again when popped; the incumbent only
+    improves, so this cuts exactly what a test at the pop alone would, and
+    the seed's class and every tie survive. With at most two left it is a
+    leaf: each order of them (one if the first equals the last) not greater
+    than its mirror is scored. Each popped entry, root included, is one
+    prefix entered, so neither a mirror-only child nor one dropped when
+    built counts; past budget.max_labeled of them it raises BudgetExceeded,
+    never returning a partial optimum.
     """
     tail = sum(pendants) + 2
     best = caterpillar_phi(_seed_arrangement(pendants, maximize))
     winners = []
     examined = nodes = 0
     cap = budget.max_labeled
-    stack = [((), 1, 0, tuple(sorted(pendants)))]
+    # The root's bound is at most the seed's phi (at least, for max), so the
+    # incumbent itself stands in for it.
+    stack = [((), 1, 0, tuple(sorted(pendants)), best)]
     while stack:
-        prefix, s, total, rest = stack.pop()
+        prefix, s, total, rest, bound = stack.pop()
         nodes += 1
         if nodes > cap:
             raise BudgetExceeded(
@@ -281,14 +292,24 @@ def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDG
                 elif value == best:
                     winners.append(mirror)
             continue
-        bound = _phi_bound(s, total, rest[::-1] if maximize else rest, tail)
         if bound < best if maximize else bound > best:
             continue
+        bounded = len(rest) > 3  # each child has three or more values left
         for i in reversed(range(len(rest))):
             v = rest[i]
-            if i == 0 or v != rest[i - 1]:  # one child per run, at its first index
-                nxt = (s + 1) << v
-                stack.append((prefix + (v,), nxt, total + nxt, rest[:i] + rest[i + 1 :]))
+            if i and v == rest[i - 1]:  # one child per run, at its first index
+                continue
+            left = rest[:i] + rest[i + 1 :]
+            if (prefix[0] if prefix else v) > left[-1]:  # every leaf below is a mirror
+                continue
+            nxt = (s + 1) << v
+            child = total + nxt
+            if bounded:
+                bound = _phi_bound(nxt, child, left[::-1] if maximize else left, tail)
+                if bound < best if maximize else bound > best:
+                    continue
+            # A leaf carries its parent's bound, which is never read.
+            stack.append((prefix + (v,), nxt, child, left, bound))
     return best, winners, examined
 
 
@@ -412,10 +433,14 @@ def find_min_subtrees(
     pendant-vector arrangements, seeded with the count of the zig-zag
     valley, cutting a prefix only when a lower bound on its completions
     exceeds the best count so far, and recounts each winner with the
-    product DP on its parent array, building a Tree only to report it; it is
-    refused (BudgetExceeded) once it enters more than budget.max_labeled
-    prefixes. trees_examined counts the classes it scored at a leaf, not
-    the seed. "closed-form" uses the k <= 5 formulas; "auto" picks the
+    product DP on its parent array, building a Tree only to report it. It
+    never pushes a prefix whose first value exceeds every value left (only
+    mirrors lie below) and bounds each prefix once, when it is built,
+    dropping it there if the bound already exceeds the best count; it is
+    refused (BudgetExceeded) once it enters (pops) more than
+    budget.max_labeled prefixes, which neither kind of dropped prefix
+    counts toward. trees_examined counts the classes it scored at a leaf,
+    not the seed. "closed-form" uses the k <= 5 formulas; "auto" picks the
     closed form for k <= 5 (always cross-checked against the caterpillar
     search, at most 5! = 120 arrangements) and the caterpillar search
     otherwise.

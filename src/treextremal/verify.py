@@ -163,17 +163,16 @@ def verify_caterpillar_minimality(
 def _valley_ok(z: tuple[int, ...]) -> bool:
     """Some position t <= k-1 that the prefix falls into, strictly at its
     last step, with a suffix that never decreases after it. Position t then
-    holds the minimum of z. The mountain shape is the valley of -z."""
-    k = len(z)
-    for t in range(1, k):  # 1-based t in 1..k-1
-        if t >= 2 and not z[t - 2] > z[t - 1]:
-            continue
-        if any(z[i - 1] < z[i] for i in range(1, t - 1)):
-            continue
-        if any(z[i - 1] > z[i] for i in range(t, k)):
-            continue
-        return True
-    return False
+    holds the minimum of z. The mountain shape is the valley of -z.
+
+    Only the start q (0-based) of the longest non-decreasing suffix can be
+    that position: z[q - 1] > z[q] when q > 0, and any later candidate would
+    follow an equal step. So z is a valley when q <= k - 2 and z never rises
+    up to q."""
+    q = len(z) - 1
+    while q > 0 and z[q - 1] <= z[q]:
+        q -= 1
+    return q <= len(z) - 2 and all(z[i - 1] >= z[i] for i in range(1, q))
 
 
 def _orientations(y: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -272,30 +272,31 @@ def test_count_negative_pendant_is_an_input_error(run):
 
 def test_auto_max_double_refusal_names_both_searches(run):
     # 23 free trees on 8 vertices; the caterpillar search on (2,1,0) enters
-    # 4 prefixes: the root and one per first value.
+    # 3 prefixes: the root and one per first value but 2, whose every
+    # arrangement is the mirror of one starting lower.
     argv = ("extremal", "--degseq", "4,3,2,1*5", "--objective", "max")
-    code, out, err = run(*argv, "--budget-labeled", "3")
+    code, out, err = run(*argv, "--budget-labeled", "2")
     assert code == 3
     assert out == ""
     assert err == (
-        "error: predicted 23 free trees on 8 vertices exceeds budget 3; "
-        "caterpillar fallback: caterpillar search exceeds budget 3 after entering 4 prefixes\n"
+        "error: predicted 23 free trees on 8 vertices exceeds budget 2; "
+        "caterpillar fallback: caterpillar search exceeds budget 2 after entering 3 prefixes\n"
     )
-    code, out, _ = run(*argv, "--budget-labeled", "4")
+    code, out, _ = run(*argv, "--budget-labeled", "3")
     assert code == 0
     assert json.loads(out)["results"]["method"] == "caterpillar"
 
 
 def test_caterpillar_search_is_capped_by_nodes(run):
-    # 12! arrangements, but the seeded search enters 11,224 prefixes.
+    # 12! arrangements, but the seeded search enters 3,692 prefixes.
     argv = ("extremal", "--degseq", "13,12,11,10,9,8,7,6,5,4,3,2,1*68", "--objective", "min")
     code, out, _ = run(*argv)
     assert code == 0
     assert json.loads(out)["results"]["method"] == "caterpillar"
-    code, out, err = run(*argv, "--budget-labeled", "11223")
+    code, out, err = run(*argv, "--budget-labeled", "3691")
     assert code == 3
     assert out == ""
-    assert err == "error: caterpillar search exceeds budget 11223 after entering 11224 prefixes\n"
+    assert err == "error: caterpillar search exceeds budget 3691 after entering 3692 prefixes\n"
 
 
 def test_enumerate_caterpillars_only_respects_budget(run, monkeypatch):

@@ -7,11 +7,13 @@ DP already proven equal to it) and frozen.
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from treextremal import extremal
 from treextremal.canonical import canonical_form
 from treextremal.caterpillars import caterpillar_build, caterpillar_from_tree
 from treextremal.counting import (
@@ -312,6 +314,37 @@ def test_caterpillar_search_equals_exhaustive_scoring():
             assert 1 <= examined <= classes
 
 
+def test_a_prefix_led_by_a_strict_maximum_leads_only_to_mirrors():
+    # The search pushes no child whose first value exceeds every value still
+    # left: each arrangement under it is greater than its mirror, whose
+    # class is scored elsewhere.
+    for k in range(1, 8):
+        for pendants in itertools.combinations_with_replacement(range(4), k):
+            for perm in lexicographic_multiset_permutations(pendants):
+                for j in range(1, k):
+                    if perm[0] > max(perm[j:]):
+                        assert perm > perm[::-1], (perm, j)
+
+
+@pytest.mark.parametrize("pendants", [(1, 0, 1), (2, 0, 1, 2), (1, 1)])
+def test_mirror_rule_keeps_a_first_value_equal_to_the_largest_left(pendants, monkeypatch):
+    # A first value equal to the largest value left can still start an
+    # arrangement not greater than its mirror, so the rule is > and not >=.
+    ds = _pendant_sequence(pendants)
+    phi = {y: caterpillar_phi(y) for y in enumerate_caterpillars(ds)}
+    for maximize in (False, True):
+        assert _caterpillar_search(list(pendants), maximize)[:2] == extremes(
+            phi, phi.__getitem__, maximize
+        )[:2]
+        # With a bound that never cuts, the search scores every class once.
+        never = 10**100 if maximize else 0
+        monkeypatch.setattr(extremal, "_phi_bound", lambda *_: never)
+        assert _caterpillar_search(list(pendants), maximize) == extremes(
+            phi, phi.__getitem__, maximize
+        )
+        monkeypatch.undo()
+
+
 def test_phi_bound_brackets_every_completion():
     rng = random.Random(20122)
     for _ in range(200):
@@ -381,13 +414,13 @@ def test_distinct_k12_min_is_answered_with_valley_winners():
 
 def test_node_cap_refuses_without_a_partial_optimum():
     ds = parse_degree_sequence(DISTINCT_12)
-    # The seeded min search enters 11,224 prefixes, the root included.
-    report = find_min_subtrees(ds, budget=EnumerationBudget(max_labeled=11_224))
+    # The seeded min search enters 3,692 prefixes, the root included.
+    report = find_min_subtrees(ds, budget=EnumerationBudget(max_labeled=3_692))
     assert {o.y_vector for o in report.optimizers} == {(11, 8, 7, 4, 3, 0, 1, 2, 5, 6, 9, 10)}
-    tight = EnumerationBudget(max_labeled=11_223)
+    tight = EnumerationBudget(max_labeled=3_691)
     with pytest.raises(
         BudgetExceeded,
-        match="^caterpillar search exceeds budget 11223 after entering 11224 prefixes$",
+        match="^caterpillar search exceeds budget 3691 after entering 3692 prefixes$",
     ):
         find_min_subtrees(ds, budget=tight)
     with pytest.raises(BudgetExceeded):
@@ -422,19 +455,21 @@ def _prefixes_entered(pendants, maximize) -> int:
 
 
 # Per objective: sha256 of json.dumps of [str(optimum), winners in order,
-# examined] per vector of _frozen_search_vectors, then of the node caps of
-# _prefixes_entered for the first 100 vectors (with their sum), frozen from
-# the recursive search.
+# examined] per vector of _frozen_search_vectors, frozen from the recursive
+# search, then of the node caps of _prefixes_entered for the first 100
+# vectors (with their sum), frozen from the search that pushes no
+# mirror-only child and drops a child whose bound is already worse (the
+# recursive search entered 3,071 and 2,183).
 FROZEN_SEARCH = {
     "min": (
         "3c44036f821688296d2cafee21e607d2f86b2d3f091200c721cae1bc5b6d1a56",
-        "686738f9a49b9a2aa5c5fc8150eb59562b70eb513156bfa39957cb5069740c67",
-        3071,
+        "7a6ff7821a88cfbd96916e9db5ed54aa7667cc740381e97ed9ec396850c35a31",
+        1243,
     ),
     "max": (
         "48ddb251932a273f5e26bab1627703fdf4f09e914ec81e21c5ae2ca8c6ed36c8",
-        "c182439ab669e6fc577fb4395ecf0720c520ea4ef7751c5387a8d53d327e9749",
-        2183,
+        "e01ad66ffeaeab714aaa7171572be8028ec4b02a8842938c5f168e57cf74486f",
+        978,
     ),
 }
 

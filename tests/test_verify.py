@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -81,6 +82,32 @@ def test_mountain_predicate():
     assert _mountain_ok((2, 2, 1))
     assert not _mountain_ok((2, 0, 2))
     assert not _mountain_ok((0, 1, 2))  # peak only at the far right
+
+
+def _quadratic_valley_ok(z):
+    """The valley test as first written: try each 1-based bottom t <= k - 1,
+    strictly reached, with a non-increasing prefix and a non-decreasing
+    suffix. The oracle for the one-scan _valley_ok."""
+    k = len(z)
+    for t in range(1, k):
+        if t >= 2 and not z[t - 2] > z[t - 1]:
+            continue
+        if any(z[i - 1] < z[i] for i in range(1, t - 1)):
+            continue
+        if any(z[i - 1] > z[i] for i in range(t, k)):
+            continue
+        return True
+    return False
+
+
+def test_valley_scan_matches_the_quadratic_oracle():
+    checked = 0
+    for k in range(9):
+        for z in itertools.product(range(4), repeat=k):
+            assert _valley_ok(z) == _quadratic_valley_ok(z), z
+            assert _mountain_ok(z) == _quadratic_valley_ok(tuple(-v for v in z)), z
+            checked += 1
+    assert checked == 87_381
 
 
 def test_mountain_shape_small():
