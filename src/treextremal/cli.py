@@ -10,15 +10,16 @@ counterexample). main builds its parser once per process, on its first
 call.
 
 Every JSON document is written by one writer whose bytes are those of
-json.dumps(document, indent=2). `count` reads all its fields off one rooted
-traversal, plus one BFS from its last vertex for the diameter, makes the
-decimal text of each distinct per-vertex count once, and hands the list to
-the writer as _Digits, which it joins without escaping. `enumerate` reads
-each row's phi and Wiener index off one rooted traversal too (a class's
-parent array with --caterpillars-only, so no Tree) and writes its JSON list
-or CSV table from one (code, y, phi, wiener) tuple per row. main lifts
-CPython's int-to-decimal digit cap while a command runs, so a count of any
-size is written in full.
+json.dumps(document, indent=2). `count` on a file builds no Tree: it
+validates and roots the edge list in one walk (trees._checked_walk), reads
+all its fields off that rooted traversal, plus one BFS from its last vertex
+for the diameter, makes the decimal text of each distinct per-vertex count
+once, and hands the list to the writer as _Digits, which it joins without
+escaping. `enumerate` reads each row's phi and Wiener index off one rooted
+traversal too (a class's parent array with --caterpillars-only, so no
+Tree) and writes its JSON list or CSV table from one (code, y, phi, wiener)
+tuple per row. main lifts CPython's int-to-decimal digit cap while a
+command runs, so a count of any size is written in full.
 """
 
 import argparse
@@ -32,12 +33,12 @@ from typing import Iterable
 
 from .caterpillars import _caterpillar_parents, caterpillar_build, caterpillar_from_tree
 from .canonical import _caterpillar_code, canonical_form
-from .counting import _down_counts, _reroot, _rooted_counts, _wiener
+from .counting import _reroot, _rooted_counts, _wiener
 from .degrees import parse_degree_sequence
 from .enumeration import DEFAULT_BUDGET, EnumerationBudget, enumerate_caterpillars, enumerate_trees
 from .errors import BudgetExceeded, InternalInconsistency, ParseError, TooLarge, TreextremalError
 from .extremal import METHODS, find_max_subtrees, find_min_subtrees
-from .trees import _eccentricity, bfs, is_caterpillar, tree_from_edge_list
+from .trees import _checked_walk, _is_caterpillar, _parse_edge_list, _walk, bfs
 from .verify import CLAIM_IDS, FAIL, run_claim
 
 SCHEMA_VERSION = "1"
@@ -160,29 +161,34 @@ def _optimizer_payload(report) -> list[dict]:
 def cmd_count(args) -> int:
     if args.caterpillar is not None:
         t = caterpillar_build(_parse_y_vector(args.caterpillar))
+        adjacency, edges = t.adjacency, t.edges
+        order, parent, _ = _walk(adjacency, 0)
         source = {"caterpillar": args.caterpillar}
     else:
         with open(args.tree_file) as fh:
-            t = tree_from_edge_list(fh.read())
+            n, edges = _parse_edge_list(fh.read())
+        adjacency, order, parent = _checked_walk(n, edges)
         source = {"tree_file": args.tree_file}
-    _emit(args, _document("count", source, _count_results(t)))
+    _emit(args, _document("count", source, _count_results(adjacency, edges, order, parent)))
     return EXIT_OK
 
 
-def _count_results(t) -> dict:
-    """Every field of a count document, read off one rooted traversal, plus
+def _count_results(adjacency, edges, order, parent) -> dict:
+    """Every field of a count document, read off one rooted traversal
+    (order, parent) of the tree with these adjacency lists and edges, plus
     one BFS from its last vertex (an end of a longest path) for the
-    diameter. The integers are dropped on return, before the document is
-    written."""
-    down, order, parent = _down_counts(t, 0)
+    diameter. No field depends on the order of the lists or the traversal.
+    The integers are dropped on return, before the document is written."""
+    down = _rooted_counts(order, parent)
     per_vertex = _reroot(down, order, parent)
     text = {v: str(v) for v in set(per_vertex)}  # leaves sharing a neighbour share a count
+    far, _, dist = _walk(adjacency, order[-1])
     return {
-        "n": t.n,
+        "n": len(order),
         "phi": str(sum(down)),
         "per_vertex": _Digits(map(text.__getitem__, per_vertex)),
-        "diameter": _eccentricity(t, order[-1]),
-        "is_caterpillar": is_caterpillar(t),
+        "diameter": dist[far[-1]],
+        "is_caterpillar": _is_caterpillar(list(map(len, adjacency)), edges),
         "wiener": str(_wiener(order, parent)),
     }
 

@@ -15,20 +15,23 @@ Two independent routes are kept on purpose:
 
 The product DP (_rooted_counts), the rerooting and the Wiener index are
 each written once, as a private helper over a rooted traversal (order,
-parent), and the traversal has two sources. One is a BFS of a Tree: the
-public functions run one of their own, and a caller needing more than one
-number reads them all off one: `treextremal count` (phi, every per-vertex
-count, Wiener), `enumerate` and the wiener-correspondence sweep (phi and
-Wiener). The other is a caterpillar's parent array
-(caterpillars._caterpillar_parents), which needs no Tree and no BFS:
-range(n) already lists its parents before their children. The caterpillar
-search recounts its winners on it and `enumerate --caterpillars-only`
-scores every class on it.
+parent), and the traversal has two sources. One is a BFS: the public
+functions run one of their own on a Tree, and a caller needing more than
+one number reads them all off one: `treextremal count` (phi, every
+per-vertex count, Wiener) off the walk that validated its edge list
+(trees._checked_walk), with no Tree, and `enumerate` and the
+wiener-correspondence sweep (phi and Wiener) off a BFS of each tree. The
+other is a caterpillar's parent array (caterpillars._caterpillar_parents),
+which needs no Tree and no BFS: range(n) already lists its parents before
+their children. The caterpillar search recounts its winners on it and
+`enumerate --caterpillars-only` scores every class on it.
 
 caterpillar_phi counts a caterpillar straight from its pendant vector in
-O(k), with no Tree; the caterpillar search in extremal runs the same
-recurrence down each prefix of its branch and bound and recounts each
-winner with the product DP on its parent array.
+O(k), with no Tree: it validates the vector and runs the recurrence,
+_caterpillar_phi, which extremal runs directly on vectors it built itself.
+The caterpillar search also carries the recurrence down each prefix of its
+branch and bound and recounts each winner with the product DP on its
+parent array.
 """
 
 from .caterpillars import _pendant_vector
@@ -103,7 +106,12 @@ def caterpillar_phi(y) -> int:
 
         phi = (n - k) + S_1 + ... + S_k + S_k
     """
-    y = _pendant_vector(y)
+    return _caterpillar_phi(_pendant_vector(y))
+
+
+def _caterpillar_phi(y) -> int:
+    """caterpillar_phi of a pendant vector already known to be valid, such
+    as one the caller built itself."""
     s = 1
     total = 0
     for v in y:

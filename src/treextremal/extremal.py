@@ -60,7 +60,7 @@ from .caterpillars import (
     caterpillar_canonical,
     caterpillar_from_tree,
 )
-from .counting import _down_counts, _rooted_counts, caterpillar_phi, count_subtrees
+from .counting import _caterpillar_phi, _down_counts, _rooted_counts, count_subtrees
 from .degrees import DegreeSequence
 from .errors import (
     BudgetExceeded,
@@ -261,7 +261,7 @@ def _caterpillar_search(pendants: list[int], maximize: bool, budget=DEFAULT_BUDG
     never returning a partial optimum.
     """
     tail = sum(pendants) + 2
-    best = caterpillar_phi(_seed_arrangement(pendants, maximize))
+    best = _caterpillar_phi(_seed_arrangement(pendants, maximize))
     winners = []
     examined = nodes = 0
     cap = budget.max_labeled
@@ -372,7 +372,7 @@ def _closed_form_minimizers(ds: DegreeSequence) -> tuple[int, list[tuple[int, ..
         (y,) = predict_min_k5(ds)[1]  # one vector (see TrichotomyCase)
     else:
         raise ClosedFormUnavailable(f"no closed form for k={k} > 5")
-    return caterpillar_phi(y), [y]
+    return _caterpillar_phi(y), [y]
 
 
 def _search(ds, objective, method, budget) -> ExtremalReport:

@@ -3,21 +3,27 @@
 A tree on n vertices is stored as a sorted tuple of n - 1 undirected edges
 (u, v) with u < v. Construction from an edge list validates everything once
 (label range, no loops or duplicates, connectivity); after that a Tree is
-immutable and safe to share between threads. The package's own generators
-build their trees from parent arrays (_tree_from_parents), where checking
-that each parent is a label below its child is the whole proof of a tree.
+immutable and safe to share between threads. The rules and their messages
+live in one validator, _checked_walk, which Tree calls before sorting. The
+package's own generators build their trees from parent arrays
+(_tree_from_parents), where checking that each parent is a label below its
+child is the whole proof of a tree.
 
-There is one breadth-first walk, _walk: bfs runs it on a Tree, and Tree checks
-connectivity with it on the adjacency lists it has just built. There is one
-longest-path algorithm, the double sweep (_longest_path): the last vertex a
-BFS visits ends a longest path, and a BFS from there reaches the other end
-last. The diameter and a caterpillar's spine are read off it; `treextremal
-count` runs only the second sweep (_eccentricity), from the last vertex of
-the traversal its counts come from.
+There is one breadth-first walk, _walk: bfs runs it on a Tree, and
+_checked_walk checks connectivity with it on the adjacency lists it has
+just built, in input order, and hands the walk back as a rooted traversal.
+There is one longest-path algorithm, the double sweep (_longest_path): the
+last vertex a BFS visits ends a longest path, and a BFS from there reaches
+the other end last. The diameter and a caterpillar's spine are read off it.
+`treextremal count` on a file builds no Tree: it validates and roots the
+file in the one walk of _checked_walk and runs only the second sweep, from
+that walk's last vertex.
 The edge-list parser converts every edge in one pass and re-reads the
 lines one by one only to name the first bad one.
 """
 
+from collections import defaultdict
+from operator import index
 from typing import Iterable
 
 from .errors import InvalidTree, ParseError, VertexOutOfRange
@@ -29,42 +35,12 @@ class Tree:
     __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        try:  # non-integers fail a comparison or an index, non-pairs an unpack
-            if n < 1:
-                raise InvalidTree(f"vertex count must be >= 1, got {n}")
-            normalized = []
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InvalidTree(f"edge ({u}, {v}) has a label outside 0..{n - 1}")
-                if u == v:
-                    raise InvalidTree(f"self-loop at vertex {u}")
-                normalized.append((u, v) if u < v else (v, u))
-            normalized.sort()
-            if len(normalized) != n - 1:
-                raise InvalidTree(f"expected {n - 1} edges for n={n}, got {len(normalized)}")
-            # Sorted (u < v) edges list each vertex's lower neighbours first and
-            # each group ascending, so every adjacency list comes out sorted, and
-            # a duplicate sits next to its twin.
-            adj: list[list[int]] = [[] for _ in range(n)]
-            previous = None
-            for edge in normalized:
-                if edge == previous:
-                    raise InvalidTree("duplicate edge")
-                previous = edge
-                u, v = edge
-                adj[u].append(v)
-                adj[v].append(u)
-        except InvalidTree:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InvalidTree(f"labels and count must be integers, edges pairs: {exc}") from None
-
-        # Connectivity; acyclicity follows from the edge count.
-        if len(_walk(adj, 0)[0]) != n:
-            raise InvalidTree("edge set is not connected")
-
-        self.n = n
-        self.edges = tuple(normalized)
+        adj = _checked_walk(n, edges)[0]
+        for a in adj:
+            a.sort()
+        self.n = len(adj)
+        # Each list sorted and u ascending: the (u < v) edges come out sorted.
+        self.edges = tuple([(u, v) for u, a in enumerate(adj) for v in a if u < v])
         self.adjacency = tuple(map(tuple, adj))
 
     def leaves(self) -> tuple[int, ...]:
@@ -82,6 +58,49 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={list(self.edges)})"
+
+
+def _checked_walk(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Validate n vertices and an edge list as a tree, and walk it from 0.
+
+    The checks, each naming the first fault found: the vertex count, then
+    each edge as given (integer labels in range, no self-loop), then the
+    edge count, then connectivity, by one _walk from vertex 0 over
+    adjacency lists built in input order. n - 1 edges connecting n vertices
+    form a tree, and n - 1 edges with a repeat cannot connect them, so only
+    a failed walk looks for a duplicate edge, and names it before the lack
+    of connectivity. Returns (adjacency, order, parent): the lists in input
+    order, and the walk's visit order and parents, a rooted traversal.
+    """
+    try:  # non-integers fail an index or a comparison, non-pairs an unpack
+        n = index(n)
+        if n < 1:
+            raise InvalidTree(f"vertex count must be >= 1, got {n}")
+        edges = list(edges)
+        # A wrong edge count is refused once every edge is checked; till then
+        # a dict stands in for the lists, so a huge n allocates nothing.
+        adj = [[] for _ in range(n)] if len(edges) == n - 1 else defaultdict(list)
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidTree(f"edge ({u}, {v}) has a label outside 0..{n - 1}")
+            if u == v:
+                raise InvalidTree(f"self-loop at vertex {u}")
+            adj[u].append(v)
+            adj[v].append(u)
+    except InvalidTree:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidTree(f"labels and count must be integers, edges pairs: {exc}") from None
+    if len(edges) != n - 1:
+        raise InvalidTree(f"expected {n - 1} edges for n={n}, got {len(edges)}")
+    order, parent, _ = _walk(adj, 0)
+    if len(order) != n:
+        if any(len(a) != len(set(a)) for a in adj):
+            raise InvalidTree("duplicate edge")
+        raise InvalidTree("edge set is not connected")
+    return adj, order, parent
 
 
 def _tree_from_parents(parent) -> Tree:
@@ -156,13 +175,6 @@ def diameter(t: Tree) -> int:
     return len(_longest_path(t)) - 1
 
 
-def _eccentricity(t: Tree, v: int) -> int:
-    """The largest distance from v: the diameter when v ends a longest
-    path, as the last vertex of any BFS of t does."""
-    order, _, dist = bfs(t, v)
-    return dist[order[-1]]
-
-
 def _longest_path(t: Tree) -> list[int]:
     """The vertices of a longest path, from one end to the other.
 
@@ -205,6 +217,12 @@ def _is_caterpillar(degree, edges) -> bool:
 
 def tree_from_edge_list(text: str) -> Tree:
     """Parse the edge-list format: first line n, then n-1 lines "u v"."""
+    return Tree(*_parse_edge_list(text))
+
+
+def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edges, as given, of an edge-list document;
+    Tree or _checked_walk validates them."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty edge-list document")
@@ -216,7 +234,7 @@ def tree_from_edge_list(text: str) -> Tree:
         edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:])]
     except ValueError:
         raise _bad_line(lines[1:]) from None
-    return Tree(n, edges)
+    return n, edges
 
 
 def _bad_line(lines: list[str]) -> ParseError:

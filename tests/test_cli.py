@@ -80,6 +80,11 @@ GOLDEN_COUNT_RESULTS = {
 }
 
 
+def _golden_digest(out) -> str:
+    results = json.dumps(json.loads(out)["results"], sort_keys=True)
+    return hashlib.sha256(results.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COUNT_RESULTS))
 def test_count_results_golden_digests(run, tmp_path, name):
     if name in GOLDEN_COUNT_TREES:
@@ -88,8 +93,41 @@ def test_count_results_golden_digests(run, tmp_path, name):
         argv = ("count", "--caterpillar", name.split("-", 1)[1])
     code, out, _ = run(*argv)
     assert code == 0
-    results = json.dumps(json.loads(out)["results"], sort_keys=True)
-    assert hashlib.sha256(results.encode()).hexdigest() == GOLDEN_COUNT_RESULTS[name]
+    assert _golden_digest(out) == GOLDEN_COUNT_RESULTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNT_TREES))
+def test_count_results_ignore_edge_order_and_orientation(run, tmp_path, name):
+    # Adjacency lists and the walk follow the file's order: no field may.
+    n, edges = GOLDEN_COUNT_TREES[name]()
+    edges = [(v, u) for u, v in edges]
+    random.Random(name).shuffle(edges)
+    code, out, _ = run("count", _edge_file(tmp_path, n, edges))
+    assert code == 0
+    assert _golden_digest(out) == GOLDEN_COUNT_RESULTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNT_TREES))
+def test_count_file_builds_no_tree_and_walks_twice(run, tmp_path, monkeypatch, name):
+    from treextremal import trees
+
+    path = _edge_file(tmp_path, *GOLDEN_COUNT_TREES[name]())
+    walk, roots = trees._walk, []
+
+    def counted_walk(adjacency, root):
+        roots.append(root)
+        return walk(adjacency, root)
+
+    def no_tree(*_):
+        raise AssertionError("count built a Tree")
+
+    monkeypatch.setattr(trees.Tree, "__init__", no_tree)
+    monkeypatch.setattr(trees, "_walk", counted_walk)
+    monkeypatch.setattr(cli, "_walk", counted_walk)
+    code, out, _ = run("count", path)
+    assert code == 0
+    assert _golden_digest(out) == GOLDEN_COUNT_RESULTS[name]
+    assert len(roots) == 2 and roots[0] == 0  # validate-and-root, then the far sweep
 
 
 def test_count_malformed_file(run, tmp_path):

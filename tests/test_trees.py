@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from treextremal.enumeration import _free_trees, enumerate_all_trees
 from treextremal.errors import InvalidTree, ParseError, VertexOutOfRange
 from treextremal.trees import (
     Tree,
+    _checked_walk,
     _tree_from_parents,
     bfs,
     diameter,
@@ -66,11 +68,36 @@ def test_tree_validation_messages():
         (4, [(1, 2), (2, 3), (3, 1)], "edge set is not connected"),  # vertex 0 cut off
         (0, [], "vertex count must be >= 1, got 0"),
         (0, [(0, 1)], "vertex count must be >= 1, got 0"),
+        (2.5, [(0, 1)], "labels and count must be integers, edges pairs: "
+         "'float' object cannot be interpreted as an integer"),
+        (2.0, [(0, 1)], "labels and count must be integers, edges pairs: "
+         "'float' object cannot be interpreted as an integer"),
     ]
     for n, edges, message in cases:
         with pytest.raises(InvalidTree) as info:
             Tree(n, edges)
         assert str(info.value) == message, (n, edges)
+
+
+def test_checked_walk_roots_the_edges_as_given():
+    edges = [(5, 0), (3, 1), (0, 3), (4, 3), (2, 3)]
+    adjacency, order, parent = _checked_walk(6, edges)
+    assert adjacency == [[5, 3], [3], [3], [1, 0, 4, 2], [3], [0]]  # input order
+    assert (order, parent) == ([0, 5, 3, 1, 4, 2], [-1, 3, 3, 0, 3, 0])
+    assert _checked_walk(1, []) == ([[]], [0], [-1])
+
+
+def test_short_edge_list_allocates_nothing_per_vertex():
+    # The edge count is checked after the edges, and a huge vertex count
+    # with too few edges must not build a list per vertex first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidTree, match="^expected 999999 edges for n=1000000, got 1$"):
+            Tree(10**6, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_tree_from_parents_matches_the_validated_tree():
@@ -175,7 +202,9 @@ def test_bfs_order_parents_and_distances():
 
 # (edge-list text, the Tree it parses to or the (error type, message) it is
 # refused with). Frozen from the line-by-line parser, before edges were
-# converted in one pass; a bad line is named as the first one found.
+# converted in one pass; a bad line is named as the first one found. The
+# duplicate and connectivity rows hold `count`'s failed validation walk,
+# which looks for a repeat only once the walk misses a vertex.
 EDGE_LIST_TABLE = [
     ("crlf", "3\r\n0 1\r\n1 2\r\n", Tree(3, [(0, 1), (1, 2)])),
     ("tabs", "3\n0\t1\n\t1  \t2\t\n", Tree(3, [(0, 1), (1, 2)])),
@@ -193,6 +222,9 @@ EDGE_LIST_TABLE = [
     ("negative label", "3\n0 1\n-1 2\n", (InvalidTree, "edge (-1, 2) has a label outside 0..2")),
     ("self-loop", "3\n0 1\n2 2\n", (InvalidTree, "self-loop at vertex 2")),
     ("duplicate edge", "3\n0 1\n1 0\n", (InvalidTree, "duplicate edge")),
+    ("duplicate among other edges", "4\n0 1\n2 3\n1 0\n", (InvalidTree, "duplicate edge")),
+    ("disconnected", "4\n0 1\n1 2\n2 0\n", (InvalidTree, "edge set is not connected")),
+    ("cut-off vertex 0", "4\n1 2\n2 3\n3 1\n", (InvalidTree, "edge set is not connected")),
     ("too few edges", "4\n0 1\n1 2\n", (InvalidTree, "expected 3 edges for n=4, got 2")),
     ("too many edges", "3\n0 1\n1 2\n0 2\n", (InvalidTree, "expected 2 edges for n=3, got 3")),
     ("zero vertices", "0\n", (InvalidTree, "vertex count must be >= 1, got 0")),
