@@ -14,7 +14,10 @@ deduplication is needed and only matching trees are ever built. The
 sequences come in decreasing lexicographic order, so those that share a
 prefix are consecutive: a query for one sequence walks the free trees on
 n but skips, as one block, every prefix whose vertex degrees already rule
-the sequence out, and visits only a small share of them. A sweep over
+the sequence out, and visits only a small share of them. A prefix is
+also ruled out when its root's first subtree is too tall for a centre:
+the rest of the tree must reach that height, and the path down costs
+internal vertices the sequence no longer has. A sweep over
 every sequence of order n takes one unpruned pass for all of them
 (enumerate_all_trees), grouping the trees by their sorted degrees. Both
 produce parent tuples, vertices in level-sequence preorder, which lists
@@ -223,12 +226,14 @@ def _free_trees(n: int) -> Iterator[tuple[list[int], list[int]]]:
         yield parent, degree
 
 
-def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -> int | None:
+def _ruled_out_prefix(
+    levels: list[int], target: list[int], room: list[int], parent: list[int]
+) -> int | None:
     """Scan a level sequence against a degree multiset, target[d] being
-    the number of vertices of degree d: an index j such that no sequence
-    still to come that starts with levels[:j + 1] realizes the multiset,
-    or None when this one does, with parent then filled in as in
-    _free_trees.
+    the number of vertices of degree d and room[d] the number of degree d
+    or more: an index j such that no sequence still to come that starts
+    with levels[:j + 1] realizes the multiset, or None when this one does,
+    with parent then filled in as in _free_trees.
 
     Vertex i closes the vertices of the current root path at levels[i] or
     deeper: their degrees are final and must fit in what is left of the
@@ -239,23 +244,43 @@ def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -
     not yet reached by a vertex of the prefix, and a vertex that closes
     lowers both sides of each count it is in. The end closes the rest of
     the path, and n closed degrees that all fit are the whole multiset.
+
+    A centre costs internal vertices. Every sequence the generator yields
+    is rooted at a centre: the rest (the root with its later subtrees)
+    reaches at least the height of the root's first subtree, and strictly
+    more when that subtree is the larger part. Every vertex on a path down
+    to that height but its last has degree 2 or more, and so does the root
+    once it has a second child; room[2] bounds how many more such vertices
+    there can be. While vertex i is still in the first subtree, which has
+    at least i vertices, the rest needs height + (2i > n) of them, height
+    being the deepest level so far minus 1, the root's among them. Once the
+    second subtree starts at m, the first subtree's height and size are
+    fixed, the rest must reach goal = height + (2m > n + 2), and future
+    vertices attach only to the current root path, so until some vertex of
+    the rest reaches goal the cheapest way down extends vertex i itself:
+    goal - levels[i] more of them. Every sequence still to come that starts
+    with levels[:i + 1] shares the first subtree, room[2] and the path, so
+    it fails too. In the first subtree the test can newly fail only where
+    room[2] falls or height rises, both of which give a parent degree 2,
+    and where i passes n / 2.
     """
     n = len(levels)
-    top = len(target) - 1
     left = target.copy()
-    room = [0] * (top + 2)  # room[top + 1] stays 0
-    for d in range(top, -1, -1):
-        room[d] = room[d + 1] + target[d]
+    room = room.copy()
     degree = [0] + [1] * (n - 1)  # each vertex but the root has its parent
     last = [0] * n  # last[h] is the latest vertex at level h
     previous = 0
+    half = n // 2 + 1  # the first i with 2i > n
+    height = 0  # the first subtree's height so far
+    goal = None  # what the rest must reach, once the second subtree starts; 0 once it has
     for i in range(1, n):
         depth = levels[i]
-        for h in range(depth, previous + 1):
-            d = degree[last[h]]
-            if not left[d]:
-                return i - 1
-            left[d] -= 1
+        if depth <= previous:  # a vertex that extends the path closes nothing
+            for h in range(depth, previous + 1):
+                d = degree[last[h]]
+                if not left[d]:
+                    return i - 1
+                left[d] -= 1
         last[depth] = i
         p = last[depth - 1]
         parent[i] = p
@@ -265,6 +290,20 @@ def _ruled_out_prefix(levels: list[int], target: list[int], parent: list[int]) -
         room[d] -= 1
         degree[p] = d
         previous = depth
+        if goal is None:
+            if d == 2 or i == half:
+                if depth == 1:  # the root's second child: the second subtree starts
+                    goal = height + (2 * i > n + 2)
+                else:
+                    if depth > height:  # vertex i may be the deepest so far
+                        height = depth - 1
+                    if room[2] < height + (i >= half):
+                        return i
+        if goal:
+            if depth >= goal:
+                goal = 0
+            elif room[2] < goal - depth:
+                return i
     for h in range(previous + 1):
         d = degree[last[h]]
         if not left[d]:
@@ -282,14 +321,18 @@ def _realization_parents(
         yield (0,) * ds.n
         return
     _check_full_budget(ds.n, budget)
-    target = [0] * (ds.degrees[0] + 1)
+    top = ds.degrees[0]
+    target = [0] * (top + 1)
     for d in ds.degrees:
         target[d] += 1
+    room = [0] * (top + 2)  # room[top + 1] stays 0
+    for d in range(top, -1, -1):
+        room[d] = room[d + 1] + target[d]
     parent = [0] * ds.n
     walk = free_level_sequences(ds.n)
     levels = next(walk)
     while True:
-        failed = _ruled_out_prefix(levels, target, parent)
+        failed = _ruled_out_prefix(levels, target, room, parent)
         if failed is None:
             yield tuple(parent)
         try:
@@ -312,8 +355,13 @@ def enumerate_trees(
     The walk visits only the blocks of level sequences that could still
     realize ds: each visited sequence is scanned once, and the first prefix
     that rules ds out is sent back to the generator, which skips every
-    sequence starting with it. A skip drops only sequences that fail the
-    same scan, so the trees are those of a filter over every free tree.
+    sequence starting with it. A prefix fails when its closed degrees do
+    not fit ds, when more of its vertices reach some degree than ds has
+    room for, or when its root's first subtree is too tall for the
+    internal vertices left: every tree is rooted at a centre, so the rest
+    of it must reach that height too. A skip drops only sequences that
+    fail the same scan, so the trees are those of a filter over every free
+    tree.
     Each tree is built from the parent tuple the walk yields
     (_realization_parents).
     """
