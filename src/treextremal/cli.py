@@ -10,16 +10,17 @@ counterexample). main builds its parser once per process, on its first
 call.
 
 Every JSON document is written by one writer whose bytes are those of
-json.dumps(document, indent=2). `count` on a file builds no Tree: it
-validates and roots the edge list in one walk (trees._checked_walk), reads
-all its fields off that rooted traversal, plus one BFS from its last vertex
-for the diameter, makes the decimal text of each distinct per-vertex count
-once, and hands the list to the writer as _Digits, which it joins without
-escaping. `enumerate` reads each row's phi and Wiener index off one rooted
-traversal too (a class's parent array with --caterpillars-only, so no
-Tree) and writes its JSON list or CSV table from one (code, y, phi, wiener)
-tuple per row. main lifts CPython's int-to-decimal digit cap while a
-command runs, so a count of any size is written in full.
+json.dumps(document, indent=2). `count` builds no Tree: it validates and
+roots the edge list, a file's or that of a --caterpillar vector's parent
+array, in one walk (trees._checked_walk), reads all its fields off that
+rooted traversal, plus one BFS from its last vertex for the diameter, makes
+the decimal text of each distinct per-vertex count once, and hands the list
+to the writer as _Digits, which it joins without escaping. `enumerate`
+reads each row's phi and Wiener index off one rooted traversal too (a
+class's parent array with --caterpillars-only, so no Tree) and writes its
+JSON list or CSV table from one (code, y, phi, wiener) tuple per row. main
+lifts CPython's int-to-decimal digit cap while a command runs, so a count
+of any size is written in full.
 """
 
 import argparse
@@ -31,7 +32,7 @@ import os
 import sys
 from typing import Iterable
 
-from .caterpillars import _caterpillar_parents, caterpillar_build, caterpillar_from_tree
+from .caterpillars import _caterpillar_parents, caterpillar_from_tree
 from .canonical import _caterpillar_code, canonical_form
 from .counting import _reroot, _rooted_counts, _wiener
 from .degrees import parse_degree_sequence
@@ -160,15 +161,15 @@ def _optimizer_payload(report) -> list[dict]:
 
 def cmd_count(args) -> int:
     if args.caterpillar is not None:
-        t = caterpillar_build(_parse_y_vector(args.caterpillar))
-        adjacency, edges = t.adjacency, t.edges
-        order, parent, _ = _walk(adjacency, 0)
+        parents = _caterpillar_parents(_parse_y_vector(args.caterpillar))
+        n = len(parents)
+        edges = list(zip(parents[1:], range(1, n)))
         source = {"caterpillar": args.caterpillar}
     else:
         with open(args.tree_file) as fh:
             n, edges = _parse_edge_list(fh.read())
-        adjacency, order, parent = _checked_walk(n, edges)
         source = {"tree_file": args.tree_file}
+    adjacency, order, parent = _checked_walk(n, edges)
     _emit(args, _document("count", source, _count_results(adjacency, edges, order, parent)))
     return EXIT_OK
 

@@ -19,12 +19,14 @@ parent), and the traversal has two sources. One is a BFS: the public
 functions run one of their own on a Tree, and a caller needing more than
 one number reads them all off one: `treextremal count` (phi, every
 per-vertex count, Wiener) off the walk that validated its edge list
-(trees._checked_walk), with no Tree, and `enumerate` and the
-wiener-correspondence sweep (phi and Wiener) off a BFS of each tree. The
-other is a caterpillar's parent array (caterpillars._caterpillar_parents),
-which needs no Tree and no BFS: range(n) already lists its parents before
-their children. The caterpillar search recounts its winners on it and
-`enumerate --caterpillars-only` scores every class on it.
+(trees._checked_walk), with no Tree, and `enumerate` (phi and Wiener) off
+a BFS of each tree. The other is a parent array in which range(n) lists
+every parent before its children, so it needs no Tree and no BFS. It has
+three sources: caterpillars (caterpillars._caterpillar_parents), which
+the caterpillar search recounts and `enumerate --caterpillars-only`
+scores; the realizations a brute search scores
+(enumeration._realization_parents); and the trees the all-tree claims,
+the wiener-correspondence sweep among them, score (_all_parents).
 
 caterpillar_phi counts a caterpillar straight from its pendant vector in
 O(k), with no Tree: it validates the vector and runs the recurrence,

@@ -14,10 +14,10 @@ deduplication is needed and only matching trees are ever built. The
 sequences come in decreasing lexicographic order, so those that share a
 prefix are consecutive: a query for one sequence walks the free trees on
 n but skips, as one block, every prefix whose vertex degrees already rule
-the sequence out, and visits only a small share of them. A prefix is
-also ruled out when its root's first subtree is too tall for a centre:
-the rest of the tree must reach that height, and the path down costs
-internal vertices the sequence no longer has. A sweep over
+the sequence out, and visits only a small share of them. Room counts
+decide: no more vertices may reach a degree d than the sequence has
+entries >= d. A finished internal degree that no longer fits, or a root
+subtree too tall for a centre, only rules a prefix out sooner. A sweep over
 every sequence of order n takes one unpruned pass for all of them
 (enumerate_all_trees), grouping the trees by their sorted degrees. Both
 produce parent tuples, vertices in level-sequence preorder, which lists
@@ -235,15 +235,17 @@ def _ruled_out_prefix(
     with levels[:j + 1] realizes the multiset, or None when this one does,
     with parent then filled in as in _free_trees.
 
-    Vertex i closes the vertices of the current root path at levels[i] or
-    deeper: their degrees are final and must fit in what is left of the
-    multiset. The sequences still to come that share levels[:i] put vertex
-    i no deeper, so they close the same vertices and fail too. Degrees only
-    grow, so a prefix fails too once, for some d, more of its vertices have
-    degree d or more than the multiset has: room[d] counts the entries >= d
-    not yet reached by a vertex of the prefix, and a vertex that closes
-    lowers both sides of each count it is in. The end closes the rest of
-    the path, and n closed degrees that all fit are the whole multiset.
+    The room counts decide. Degrees only grow, so a prefix fails once, for
+    some d, more of its vertices have degree d or more than the multiset
+    has: room[d] counts the entries >= d not yet reached by a vertex of the
+    prefix. A whole sequence that passes them realizes the multiset: summed
+    over d >= 2, its vertices of degree >= d and the entries >= d both
+    number 2(n - 1) - n, so no count falls short. Two more tests only fail
+    a prefix sooner. Vertex i closes the internal vertices of the current
+    root path at levels[i] or deeper: their degrees are final and must fit
+    in what is left of the multiset. The sequences still to come that
+    share levels[:i] put vertex i no deeper, so they close the same
+    vertices and fail too.
 
     A centre costs internal vertices. Every sequence the generator yields
     is rooted at a centre: the rest (the root with its later subtrees)
@@ -275,8 +277,8 @@ def _ruled_out_prefix(
     goal = None  # what the rest must reach, once the second subtree starts; 0 once it has
     for i in range(1, n):
         depth = levels[i]
-        if depth <= previous:  # a vertex that extends the path closes nothing
-            for h in range(depth, previous + 1):
+        if depth < previous:  # closes the internal vertices at depth or deeper
+            for h in range(depth, previous):
                 d = degree[last[h]]
                 if not left[d]:
                     return i - 1
@@ -304,11 +306,6 @@ def _ruled_out_prefix(
                 goal = 0
             elif room[2] < goal - depth:
                 return i
-    for h in range(previous + 1):
-        d = degree[last[h]]
-        if not left[d]:
-            return n - 1
-        left[d] -= 1
     return None
 
 
@@ -355,13 +352,12 @@ def enumerate_trees(
     The walk visits only the blocks of level sequences that could still
     realize ds: each visited sequence is scanned once, and the first prefix
     that rules ds out is sent back to the generator, which skips every
-    sequence starting with it. A prefix fails when its closed degrees do
-    not fit ds, when more of its vertices reach some degree than ds has
-    room for, or when its root's first subtree is too tall for the
-    internal vertices left: every tree is rooted at a centre, so the rest
-    of it must reach that height too. A skip drops only sequences that
-    fail the same scan, so the trees are those of a filter over every free
-    tree.
+    sequence starting with it. Room counts decide: a prefix fails once more
+    of its vertices reach some degree than ds has room for, and a sequence
+    that never does realizes ds. A finished internal degree that no longer
+    fits, or a first root subtree too tall for a centre, only fails a
+    prefix sooner. A skip drops only sequences that fail the same scan, so
+    the trees are those of a filter over every free tree.
     Each tree is built from the parent tuple the walk yields
     (_realization_parents).
     """

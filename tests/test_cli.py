@@ -510,7 +510,7 @@ def test_out_of_memory_is_exit_3_without_a_traceback(run, monkeypatch):
     def exhausted(y):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "caterpillar_build", exhausted)
+    monkeypatch.setattr(cli, "_caterpillar_parents", exhausted)
     code, out, err = run("count", "--caterpillar", "100000000")
     assert (code, out, err) == (3, "", "error: out of memory\n")
 

@@ -174,16 +174,35 @@ def test_pruned_walk_matches_the_filter_over_all_free_trees():
             assert [t.edges for t in enumerate_trees(ds)] == _filtered_trees(ds), ds
 
 
-def test_pruned_walk_matches_the_unpruned_pass_up_to_the_order_cap():
+@pytest.fixture
+def steps(monkeypatch):
+    """steps[0] counts the generator's steps (_successor calls)."""
+    counter = [0]
+    step = enumeration._successor
+
+    def counted(levels, p):
+        counter[0] += 1
+        step(levels, p)
+
+    monkeypatch.setattr(enumeration, "_successor", counted)
+    return counter
+
+
+def test_pruned_walk_matches_the_unpruned_pass_up_to_the_order_cap(steps):
     # One unpruned pass per order n <= 16 groups every free tree by its
     # sorted degrees; the pruned walk of each sequence yields the same
     # parent tuples in the same order.
+    passes = [list(enumeration._all_parents(n)) for n in range(1, 17)]
+    steps[0] = 0
     sequences = 0
-    for n in range(1, 17):
-        for ds, parents in enumeration._all_parents(n):
+    for groups in passes:
+        for ds, parents in groups:
             assert list(enumeration._realization_parents(ds)) == parents, ds
             sequences += 1
     assert sequences == 509
+    # The pruned walks in all, counted apart from the unpruned passes:
+    # 286,367 steps without the centre rule, 345,911 with room counts alone.
+    assert steps[0] <= 198_610
 
 
 def _rest_after_send(walk, j):
@@ -206,32 +225,23 @@ def test_sent_prefix_skips_exactly_its_block():
                 assert _rest_after_send(walk, j) == kept, (n, t, j)
 
 
-def test_one_sequence_walks_only_its_blocks(monkeypatch):
-    steps = 0
-    step = enumeration._successor
-
-    def counted(levels, p):
-        nonlocal steps
-        steps += 1
-        step(levels, p)
-
-    monkeypatch.setattr(enumeration, "_successor", counted)
+def test_one_sequence_walks_only_its_blocks(steps):
     assert len(list(enumerate_trees(parse_degree_sequence("3*7,1*9")))) == 6
     # The unpruned walk takes 20541 steps for the 19320 free trees on 16.
-    assert steps < count_free_trees(16) // 20
+    assert steps[0] < count_free_trees(16) // 20
     # The centre rule: a prefix whose first root subtree is too tall for the
     # internal vertices left fails (168 steps without it).
-    assert steps <= 96
-    steps = 0
+    assert steps[0] <= 96
+    steps[0] = 0
     assert len(list(enumerate_trees(parse_degree_sequence("6,3,3,3,3,2,1*10")))) == 53
     # The centre rule halves this walk (843 steps without it).
-    assert steps <= 418
+    assert steps[0] <= 418
     # Mostly degree 2: a prefix fails once more of its vertices reach a
     # degree than the sequence has room for (1,058 steps when it failed only
     # past the largest degree). The centre rule never fires here.
-    steps = 0
+    steps[0] = 0
     assert len(list(enumerate_trees(parse_degree_sequence("3,2*12,1*3")))) == 19
-    assert steps <= 507
+    assert steps[0] <= 507
 
 
 def test_budget_cap_must_be_a_positive_integer():
